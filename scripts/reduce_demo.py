@@ -6,14 +6,7 @@ Usage: python scripts/reduce_demo.py [fixture] [--gate full|p=1] [--steps N]
 import argparse
 
 from plink import fixtures, pipeline
-
-
-def parse_gate(text):
-    if text == "full":
-        return pipeline.GatePolicy(scope=pipeline.FULL_LINK)
-    dims = frozenset(int(t) for t in text.removeprefix("p=").split(","))
-    return pipeline.GatePolicy(required_conditions=dims,
-                               scope=pipeline.LISTED_P_ONLY)
+from plink.cli import _gate
 
 
 def main():
@@ -26,7 +19,7 @@ def main():
 
     cx = fixtures.generate(args.fixture)
     print(f"{args.fixture}: {cx!r}")
-    final, log = pipeline.reduce(cx, parse_gate(args.gate),
+    final, log = pipeline.reduce(cx, _gate(args.gate),
                                  max_steps=args.steps, snapshots=True)
     for rec in log.records:
         if rec.action != "contracted":

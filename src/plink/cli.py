@@ -12,7 +12,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import fixtures, pipeline, scxio
-from .complexes import InvalidArgument, canon, contract_edge
+from .complexes import InvalidArgument, canon, contract_edge, p_link_holds
 from .homology import (SubcomplexPair, boundary_matrix, has_relative_torsion,
                        homology_group, relative_homology_group)
 from .ohcp import (BUDGET_EXCEEDED, OPTIMAL, OHCPInstance, solve_ohcp_ilp,
@@ -49,9 +49,10 @@ def cmd_link_check(args) -> int:
     max_p = args.max_p if args.max_p is not None else cx.dim
     if args.edge:
         e = _edge(args.edge)
-        verdicts = {p: cx.satisfies_p_link(e, p) for p in range(max_p + 1)}
+        defect = cx.link_defect(e)
+        verdicts = {p: p_link_holds(defect, p) for p in range(max_p + 1)}
         payload = {"edge": list(e), "p_link": verdicts,
-                   "link_condition": cx.satisfies_link_condition(e)}
+                   "link_condition": not defect}
     else:
         scan = pipeline.scan_edges(cx, max_p)
         payload = {"edges": {" ".join(map(str, e)): v for e, v in scan.items()}}
@@ -174,9 +175,6 @@ def cmd_generate(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="plink")
-    top.add_argument("--seed", type=int, default=None,
-                     help="seed for randomized test harnesses (unused by "
-                          "deterministic library operations)")
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p, budget=False):

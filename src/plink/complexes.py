@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
@@ -26,7 +27,7 @@ def canon(vertices: Iterable[int]) -> Simplex:
     vs = tuple(sorted(vertices))
     if not vs:
         raise InvalidArgument("a simplex needs at least one vertex")
-    if any(vs[i] == vs[i + 1] for i in range(len(vs) - 1)):
+    if len(set(vs)) != len(vs):
         raise InvalidArgument(f"duplicate vertices in {vertices!r}")
     if vs[0] < 0:
         raise InvalidArgument(f"negative vertex id in {vertices!r}")
@@ -68,8 +69,13 @@ class SimplicialComplex:
     def __init__(self, simplices: Iterable[Simplex],
                  weights: Optional[Mapping[Simplex, Fraction]] = None):
         ss = frozenset(canon(s) for s in simplices)
+        # Checking codimension-1 faces suffices: by induction on dimension
+        # they reach every face.
         for s in ss:
-            for f in faces_of(s):
+            if len(s) == 1:
+                continue
+            for j in range(len(s)):
+                f = s[:j] + s[j + 1:]
                 if f not in ss:
                     raise InvalidArgument(
                         f"not face-closed: {f} missing (face of {s})")
@@ -156,38 +162,78 @@ class SimplicialComplex:
             out.update(faces_of(s))
         return frozenset(out)
 
+    @cached_property
+    def _cofaces(self) -> dict:
+        """Vertex -> every simplex containing it.  Built on the first star or
+        link query, not in __init__: most complexes (homology inputs, oracle
+        pairs) never make one."""
+        index: dict = {}
+        for s in self.simplices:
+            for v in s:
+                index.setdefault(v, []).append(s)
+        return index
+
+    def _cofaces_of(self, simplex: Simplex) -> list:
+        """All simplices containing the given one, itself included."""
+        index = self._cofaces
+        pool = min((index[v] for v in simplex), key=len)
+        if len(simplex) == 1:
+            return pool
+        verts = set(simplex)
+        return [t for t in pool if verts.issubset(t)]
+
     def star(self, subset: Iterable[Simplex]) -> frozenset:
         """All cofaces of the given simplices (themselves included)."""
         sub = self._require(subset)
-        return frozenset(s for s in self.simplices
-                         if any(set(x) <= set(s) for x in sub))
+        out = set()
+        for x in sub:
+            out.update(self._cofaces_of(x))
+        return frozenset(out)
 
     def link(self, subset: Iterable[Simplex]) -> frozenset:
-        """Lk X = closure(star X) minus star(closure X)."""
+        """Lk X = closure(star X) minus star(closure X).
+
+        For a single simplex s this is {t minus s : t a proper coface of s},
+        read straight from the coface index.
+        """
         sub = self._require(subset)
-        return self.closure(self.star(sub)) - self.star(self.closure(sub))
+        if len(sub) != 1:
+            return self.closure(self.star(sub)) - self.star(self.closure(sub))
+        (s,) = sub
+        return frozenset(tuple(u for u in t if u not in s)
+                         for t in self._cofaces_of(s) if len(t) > len(s))
 
     # -- link conditions ----------------------------------------------------
 
-    def satisfies_p_link(self, edge: Iterable[int], p: int) -> bool:
-        """True iff p <= 0 or every (p-1)-simplex of Lk a && Lk b is in Lk ab."""
+    def _edge(self, edge: Iterable[int]) -> Simplex:
         e = canon(edge)
         if len(e) != 2 or e not in self.simplices:
             raise InvalidArgument(f"{e} is not an edge of the complex")
+        return e
+
+    def link_defect(self, edge: Iterable[int]) -> frozenset:
+        """(Lk a && Lk b) minus Lk ab: the simplices that break the link
+        condition of edge ab.  Lk ab is always a subset of Lk a && Lk b."""
+        e = self._edge(edge)
+        a, b = e
+        return (self.link([(a,)]) & self.link([(b,)])) - self.link([e])
+
+    def satisfies_p_link(self, edge: Iterable[int], p: int) -> bool:
+        """True iff p <= 0 or every (p-1)-simplex of Lk a && Lk b is in Lk ab."""
+        e = self._edge(edge)
         if p <= 0:
             return True
-        a, b = e
-        common = self.link([(a,)]) & self.link([(b,)])
-        lk_ab = self.link([e])
-        return all(x in lk_ab for x in common if len(x) == p)
+        return p_link_holds(self.link_defect(e), p)
 
     def satisfies_link_condition(self, edge: Iterable[int]) -> bool:
         """True iff Lk a && Lk b equals Lk ab as sets."""
-        e = canon(edge)
-        if len(e) != 2 or e not in self.simplices:
-            raise InvalidArgument(f"{e} is not an edge of the complex")
-        a, b = e
-        return self.link([(a,)]) & self.link([(b,)]) == self.link([e])
+        return not self.link_defect(edge)
+
+
+def p_link_holds(defect: frozenset, p: int) -> bool:
+    """The p-link verdict of an edge, read off its link defect: True iff
+    p <= 0 or the defect holds no (p-1)-simplex."""
+    return p <= 0 or all(len(x) != p for x in defect)
 
 
 # -- edge contraction -------------------------------------------------------
@@ -202,6 +248,11 @@ class SimplexFate:
     """How one simplex behaves under a contraction."""
     kind: str                       # "mirror" | "collapsing" | "injective"
     partner: Optional[Simplex] = None  # the other mirror, when kind == mirror
+
+
+# Fates without a partner are shared: a contraction classifies every simplex.
+_COLLAPSING = SimplexFate(COLLAPSING)
+_INJECTIVE = SimplexFate(INJECTIVE)
 
 
 @dataclass(frozen=True)
@@ -227,9 +278,7 @@ def contract_edge(complex: SimplicialComplex, edge: Iterable[int],
 
     By default the smaller endpoint survives; pass keep= to override.
     """
-    e = canon(edge)
-    if len(e) != 2 or e not in complex.simplices:
-        raise InvalidArgument(f"{e} is not an edge of the complex")
+    e = complex._edge(edge)
     if keep is None:
         a, b = e
     elif keep in e:
@@ -238,27 +287,25 @@ def contract_edge(complex: SimplicialComplex, edge: Iterable[int],
     else:
         raise InvalidArgument(f"keep={keep} is not an endpoint of {e}")
 
+    simplices = complex.simplices
     simplex_map = {}
     classification = {}
-    for s in complex.simplices:
-        vs = set(s)
-        if a in vs and b in vs:
-            classification[s] = SimplexFate(COLLAPSING)
-            simplex_map[s] = tuple(v for v in s if v != b)
-        elif b in vs:
+    for s in simplices:
+        if b in s:
+            if a in s:
+                classification[s] = _COLLAPSING
+                simplex_map[s] = tuple(v for v in s if v != b)
+                continue
             img = _rename(s, b, a)
             simplex_map[s] = img
-            if img in complex.simplices:
-                classification[s] = SimplexFate(MIRROR, partner=img)
-            else:
-                classification[s] = SimplexFate(INJECTIVE)
+            partner = img
         else:
             simplex_map[s] = s
-            partner = tuple(sorted(b if v == a else v for v in s))
-            if a in vs and partner in complex.simplices:
-                classification[s] = SimplexFate(MIRROR, partner=partner)
-            else:
-                classification[s] = SimplexFate(INJECTIVE)
+            partner = _rename(s, a, b) if a in s else None
+        if partner is not None and partner in simplices:
+            classification[s] = SimplexFate(MIRROR, partner=partner)
+        else:
+            classification[s] = _INJECTIVE
 
     target_simplices = set(simplex_map.values())
     target_weights = None

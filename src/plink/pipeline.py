@@ -4,7 +4,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .complexes import InvalidArgument, SimplicialComplex, canon, contract_edge
+from .complexes import (InvalidArgument, SimplicialComplex, contract_edge,
+                        p_link_holds)
 from .homology import boundary_matrix, homology_group
 from .tugraph import is_totally_unimodular
 
@@ -25,10 +26,7 @@ class GatePolicy:
             raise InvalidArgument(f"unknown scope {self.scope!r}")
 
     def passes(self, complex: SimplicialComplex, edge) -> bool:
-        if self.scope == FULL_LINK:
-            return complex.satisfies_link_condition(edge)
-        return all(complex.satisfies_p_link(edge, p)
-                   for p in self.required_conditions)
+        return all(_gate_record(complex, edge, self).values())
 
 
 @dataclass
@@ -55,14 +53,19 @@ class ContractionLog:
 
 def scan_edges(complex: SimplicialComplex, max_p: int) -> dict:
     """Per-edge p-link verdicts for 0 <= p <= max_p."""
-    return {e: {p: complex.satisfies_p_link(e, p) for p in range(max_p + 1)}
-            for e in complex.edges}
+    out = {}
+    for e in complex.edges:
+        defect = complex.link_defect(e)
+        out[e] = {p: p_link_holds(defect, p) for p in range(max_p + 1)}
+    return out
 
 
 def _gate_record(complex, edge, policy: GatePolicy) -> dict:
+    """The gate's verdicts for one edge, all read off one link defect."""
+    defect = complex.link_defect(edge)
     if policy.scope == FULL_LINK:
-        return {"full": complex.satisfies_link_condition(edge)}
-    return {p: complex.satisfies_p_link(edge, p)
+        return {"full": not defect}
+    return {p: p_link_holds(defect, p)
             for p in sorted(policy.required_conditions)}
 
 

@@ -56,9 +56,6 @@ class IncidenceGraph:
     def has_edge(self, r, c) -> bool:
         return (r, c) in self.weights
 
-    def degree_in(self, vertex, edge_set) -> int:
-        return sum(1 for (r, c) in edge_set if r == vertex or c == vertex)
-
     @classmethod
     def from_matrix(cls, matrix: Union[IntegerMatrix, list]) -> "IncidenceGraph":
         if isinstance(matrix, IntegerMatrix):

@@ -18,7 +18,7 @@ from plink.homology import (SubcomplexPair, boundary_matrix,
                             relative_homology_group)
 from plink.ohcp import (OPTIMAL, OHCPInstance, solve_ohcp_ilp, solve_ohcp_lp)
 from plink.tugraph import (B_ODD, IncidenceGraph, b_parity, build_p_graph,
-                           circuit_vertices, construct_preimage_circuit,
+                           construct_preimage_circuit,
                            enumerate_chordless_cycles, enumerate_circuits,
                            find_chordless_b_odd_circuit, is_totally_unimodular,
                            map_circuit_f)

@@ -8,6 +8,7 @@ from plink.complexes import (COLLAPSING, INJECTIVE, MIRROR, InvalidArgument,
                              SimplicialComplex, boundary_of, canon,
                              chain_boundary, contract_edge, faces_of,
                              push_chain, push_sign)
+from plink import pipeline
 from plink.fixtures import annulus, cone, mobius, random_complex
 
 simplex_st = st.sets(st.integers(0, 9), min_size=1, max_size=4).map(tuple)
@@ -23,6 +24,39 @@ def brute_closure(cx, subset):
     for s in subset:
         out.update(faces_of(s))
     return out
+
+
+# Slow reference oracle: the closure/star definition of the link and the
+# link conditions compared as sets, sharing no code with the coface index.
+
+def brute_link(cx, subset):
+    return (brute_closure(cx, brute_star(cx, subset))
+            - brute_star(cx, brute_closure(cx, subset)))
+
+
+def brute_edge_links(cx, e):
+    a, b = e
+    common = brute_link(cx, [(a,)]) & brute_link(cx, [(b,)])
+    return common, brute_link(cx, [e])
+
+
+def brute_p_link(cx, e, p):
+    if p <= 0:
+        return True
+    common, lk_ab = brute_edge_links(cx, e)
+    return all(x in lk_ab for x in common if len(x) == p)
+
+
+def brute_link_condition(cx, e):
+    common, lk_ab = brute_edge_links(cx, e)
+    return common == lk_ab
+
+
+def brute_gate_record(cx, edge, policy):
+    if policy.scope == pipeline.FULL_LINK:
+        return {"full": brute_link_condition(cx, edge)}
+    return {p: brute_p_link(cx, edge, p)
+            for p in sorted(policy.required_conditions)}
 
 
 # -- canon / faces / boundary -------------------------------------------------
@@ -107,6 +141,46 @@ def test_link_requires_membership():
     cx = cone(4)
     with pytest.raises(InvalidArgument):
         cx.link([(9,)])
+
+
+def differential_corpus():
+    r = random.Random(0xD1FF)
+    drawn = [pytest.param(random_complex(r, n_vertices=8, max_dim=4,
+                                         n_generators=5), id=f"random-{i}")
+             for i in range(40)]
+    return drawn + [pytest.param(annulus(4), id="annulus-4"),
+                    pytest.param(mobius(5), id="mobius-5"),
+                    pytest.param(cone(4), id="cone-4")]
+
+
+@pytest.mark.parametrize("cx", differential_corpus())
+def test_indexed_link_kernel_matches_oracle(cx):
+    r = random.Random(len(cx.simplices))
+    for s in sorted(cx.simplices):
+        assert cx.link([s]) == brute_link(cx, [s])
+    pair = r.sample(sorted(cx.simplices), 2)
+    assert cx.link(pair) == brute_link(cx, pair)
+    for e in cx.edges:
+        common, lk_ab = brute_edge_links(cx, e)
+        assert cx.link_defect(e) == common - lk_ab
+        assert cx.satisfies_link_condition(e) == brute_link_condition(cx, e)
+        for p in range(-1, cx.dim + 2):
+            assert cx.satisfies_p_link(e, p) == brute_p_link(cx, e, p)
+
+
+@pytest.mark.parametrize("gate", [
+    pipeline.GatePolicy(scope=pipeline.FULL_LINK),
+    pipeline.GatePolicy(required_conditions=frozenset({1, 2}),
+                        scope=pipeline.LISTED_P_ONLY)], ids=["full", "p=1,2"])
+@pytest.mark.parametrize("make", [lambda: annulus(8), lambda: mobius(9)],
+                         ids=["annulus-8", "mobius-9"])
+def test_reduce_log_matches_oracle_gates(gate, make, monkeypatch):
+    fast_final, fast_log = pipeline.reduce(make(), gate)
+    monkeypatch.setattr(pipeline, "_gate_record", brute_gate_record)
+    slow_final, slow_log = pipeline.reduce(make(), gate)
+    assert fast_log == slow_log
+    assert fast_final == slow_final
+    assert fast_log.contracted_edges
 
 
 # -- link conditions ----------------------------------------------------------
