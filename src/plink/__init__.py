@@ -7,7 +7,7 @@ from .complexes import (COLLAPSING, INJECTIVE, MIRROR, Chain, EdgeContraction,
                         SimplicialComplex, boundary_of, canon, chain_boundary,
                         contract_edge, faces_of, push_chain, push_sign)
 from .homology import (HomologyGroup, IntegerMatrix, SNFResult, SubcomplexPair,
-                       TorsionVerdict, boundary_matrix, enumerate_pure_pairs,
+                       Verdict, boundary_matrix, enumerate_pure_pairs,
                        has_relative_torsion, homology_group, is_pure,
                        matrix_rank, relative_boundary_matrix,
                        relative_homology_group, smith_normal_form)
@@ -16,10 +16,9 @@ from .ohcp import (LinearProgram, LPResult, LPSolution, OHCPInstance,
                    solve_ohcp_lp, verify_homologous)
 from .pipeline import ContractionLog, GatePolicy, reduce, report, scan_edges
 from .tugraph import (B_EVEN, B_NEITHER, B_ODD, CircuitDomainError,
-                      IncidenceGraph, PreconditionError, TUVerdict, b_parity,
+                      IncidenceGraph, PreconditionError, b_parity,
                       build_p_graph, classify_duals, construct_preimage_circuit,
                       enumerate_chordless_cycles, enumerate_circuits,
-                      find_chordless_b_odd_circuit, is_totally_unimodular,
-                      map_circuit_f)
+                      is_totally_unimodular, map_circuit_f)
 
 __version__ = "0.1.0"

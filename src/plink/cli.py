@@ -44,6 +44,13 @@ def _emit(payload, as_json: bool):
             print(f"{key}: {value}")
 
 
+def _exit(ok) -> int:
+    """Exit code of an answer: True 0, False 1, None (inconclusive) 3."""
+    if ok is None:
+        return EXIT_INCONCLUSIVE
+    return EXIT_OK if ok else EXIT_NEGATIVE
+
+
 def cmd_link_check(args) -> int:
     cx = _load_scx(args.complex)
     max_p = args.max_p if args.max_p is not None else cx.dim
@@ -89,12 +96,19 @@ def cmd_rel_homology(args) -> int:
 
 def cmd_tu_check(args) -> int:
     cx = _load_scx(args.complex)
-    verdict = is_totally_unimodular(boundary_matrix(cx, args.p),
-                                    strategy=args.strategy, budget=args.budget)
-    _emit(verdict.to_json(), args.json)
-    if verdict.status is None:
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK if verdict.status else EXIT_NEGATIVE
+    matrix = boundary_matrix(cx, args.p)
+    verdict = is_totally_unimodular(matrix, strategy=args.strategy,
+                                    budget=args.budget)
+    w = verdict.witness
+    if isinstance(w, frozenset):
+        w = sorted([{"q": list(r), "p": list(c), "w": matrix.entry(r, c)}
+                    for (r, c) in w], key=lambda d: (d["q"], d["p"]))
+    elif isinstance(w, dict):
+        w = {k: (list(map(list, v)) if isinstance(v, tuple) else v)
+             for k, v in w.items()}
+    _emit({"status": verdict.status, "strategy": verdict.mode, "witness": w},
+          args.json)
+    return _exit(verdict.status)
 
 
 def cmd_rel_torsion(args) -> int:
@@ -106,9 +120,7 @@ def cmd_rel_torsion(args) -> int:
         payload["witness_L"] = scxio.serialize_scx(verdict.witness.L)
         payload["witness_L0"] = scxio.serialize_scx(verdict.witness.L0)
     _emit(payload, args.json)
-    if verdict.status is None:
-        return EXIT_INCONCLUSIVE
-    return EXIT_NEGATIVE if verdict.status else EXIT_OK
+    return _exit(None if verdict.status is None else not verdict.status)
 
 
 def cmd_ohcp(args) -> int:
@@ -120,9 +132,8 @@ def cmd_ohcp(args) -> int:
     else:
         solution = solve_ohcp_lp(instance)
     _emit(solution.to_json(), args.json)
-    if solution.status == BUDGET_EXCEEDED:
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK if solution.status == OPTIMAL else EXIT_NEGATIVE
+    return _exit(None if solution.status == BUDGET_EXCEEDED
+                 else solution.status == OPTIMAL)
 
 
 def _gate(text: str) -> pipeline.GatePolicy:

@@ -25,6 +25,8 @@ def mobius(k: int = 5) -> SimplicialComplex:
 
 def mobius_boundary(k: int = 5) -> SimplicialComplex:
     """The boundary circle of mobius(k): edges lying in exactly one triangle."""
+    if k < 5 or k % 2 == 0:
+        raise InvalidArgument("mobius needs odd k >= 5")
     return SimplicialComplex.from_maximal(
         [canon((i, (i + 2) % k)) for i in range(k)])
 
@@ -111,24 +113,26 @@ def mobius_ohcp_instance() -> OHCPInstance:
 
 # -- registry and random generation -----------------------------------------
 
+# name -> (builder, the one size parameter it takes, if any)
+FIXTURES = {
+    "mobius": (mobius, "k"),
+    "mobius-boundary": (mobius_boundary, "k"),
+    "punctured-mobius": (punctured_mobius, "k"),
+    "annulus": (annulus, "k"),
+    "cone": (cone, "n"),
+    "fig-plink-left": (fig_plink_left, None),
+    "fig-plink-right": (fig_plink_right, None),
+    "mobius-ohcp": (mobius_ohcp, None),
+}
+FIXTURE_NAMES = tuple(FIXTURES)
+
+
 def generate(name: str, **params) -> SimplicialComplex:
-    builders = {
-        "mobius": lambda: mobius(params.get("k", 5)),
-        "mobius-boundary": lambda: mobius_boundary(params.get("k", 5)),
-        "punctured-mobius": lambda: punctured_mobius(params.get("k", 15)),
-        "annulus": lambda: annulus(params.get("k", 4)),
-        "cone": lambda: cone(params.get("n", 4)),
-        "fig-plink-left": fig_plink_left,
-        "fig-plink-right": fig_plink_right,
-        "mobius-ohcp": mobius_ohcp,
-    }
-    if name not in builders:
+    """Build a named fixture; a size parameter it does not take is ignored."""
+    if name not in FIXTURES:
         raise InvalidArgument(f"unknown fixture {name!r}")
-    return builders[name]()
-
-
-FIXTURE_NAMES = ("mobius", "mobius-boundary", "punctured-mobius", "annulus",
-                 "cone", "fig-plink-left", "fig-plink-right", "mobius-ohcp")
+    build, param = FIXTURES[name]
+    return build(params[param]) if param in params else build()
 
 
 def random_complex(rng: random.Random, n_vertices: int = 8, max_dim: int = 3,

@@ -31,14 +31,20 @@ def boundary_matrix(complex: SimplicialComplex, p: int) -> IntegerMatrix:
     (p-1)-simplex, entries +-1 by orientation agreement."""
     if not 1 <= p <= complex.dim:
         raise InvalidArgument(f"p={p} out of range for dim {complex.dim}")
-    rows = tuple(complex.p_simplices(p - 1))
-    cols = tuple(complex.p_simplices(p))
+    return _boundary(tuple(complex.p_simplices(p - 1)),
+                     tuple(complex.p_simplices(p)))
+
+
+def _boundary(rows: tuple, cols: tuple) -> IntegerMatrix:
+    """Boundary matrix with the given row and column simplices; a face that
+    is not a row is skipped."""
     rindex = {s: i for i, s in enumerate(rows)}
     entries = [[0] * len(cols) for _ in rows]
     for j, sigma in enumerate(cols):
         for k in range(len(sigma)):
-            face = sigma[:k] + sigma[k + 1:]
-            entries[rindex[face]][j] = 1 if k % 2 == 0 else -1
+            i = rindex.get(sigma[:k] + sigma[k + 1:])
+            if i is not None:
+                entries[i][j] = 1 if k % 2 == 0 else -1
     return IntegerMatrix(rows=rows, cols=cols, entries=entries)
 
 
@@ -217,16 +223,9 @@ def relative_boundary_matrix(pair: SubcomplexPair, q: Optional[int] = None
     if q is None:
         q = pair.p + 1
     in_l0 = pair.L0.simplices
-    cols = tuple(s for s in pair.L.p_simplices(q) if s not in in_l0)
-    rows = tuple(s for s in pair.L.p_simplices(q - 1) if s not in in_l0)
-    rindex = {s: i for i, s in enumerate(rows)}
-    entries = [[0] * len(cols) for _ in rows]
-    for j, sigma in enumerate(cols):
-        for k in range(len(sigma)):
-            face = sigma[:k] + sigma[k + 1:]
-            if face in rindex:
-                entries[rindex[face]][j] = 1 if k % 2 == 0 else -1
-    return IntegerMatrix(rows=rows, cols=cols, entries=entries)
+    return _boundary(
+        tuple(s for s in pair.L.p_simplices(q - 1) if s not in in_l0),
+        tuple(s for s in pair.L.p_simplices(q) if s not in in_l0))
 
 
 def relative_homology_group(pair: SubcomplexPair) -> HomologyGroup:
@@ -281,10 +280,16 @@ def enumerate_pure_pairs(complex: SimplicialComplex, p: int,
 
 
 @dataclass
-class TorsionVerdict:
-    status: Optional[bool]      # True / False / None (inconclusive)
-    witness: Optional[SubcomplexPair] = None
-    mode: str = "oracle"
+class Verdict:
+    """Answer of a budgeted decision procedure (`mode` names the procedure).
+
+    status is True or False, or None when the budget ran out first.
+    budget_used counts the units of work the procedure's budget caps.
+    """
+    status: Optional[bool]
+    mode: str
+    witness: object = None
+    budget_used: Optional[int] = None
 
     def __bool__(self):
         if self.status is None:
@@ -294,26 +299,27 @@ class TorsionVerdict:
 
 def has_relative_torsion(complex: SimplicialComplex, p: int,
                          mode: str = "oracle",
-                         budget: Optional[int] = None) -> TorsionVerdict:
+                         budget: Optional[int] = None) -> Verdict:
     """Does some pure pair (L, L0) have torsion in H_p(L, L0)?
 
-    mode="oracle" enumerates pairs exhaustively (first witness in enumeration
-    order); mode="tu" delegates to the total-unimodularity test of the
-    (p+1)-boundary matrix.
+    mode="oracle" enumerates pairs exhaustively (first witness pair in
+    enumeration order; the budget caps the pairs); mode="tu" delegates to the
+    circuit total-unimodularity test of the (p+1)-boundary matrix (the budget
+    caps its search nodes, and there is no witness).
     """
     if mode == "tu":
         from .tugraph import is_totally_unimodular
-        verdict = is_totally_unimodular(boundary_matrix(complex, p + 1),
-                                        strategy="circuit", budget=budget)
-        status = None if verdict.status is None else not verdict.status
-        out = TorsionVerdict(status=status, mode="tu")
-        out.tu_witness = verdict.witness
-        return out
+        tu = is_totally_unimodular(boundary_matrix(complex, p + 1),
+                                   strategy="circuit", budget=budget)
+        status = None if tu.status is None else not tu.status
+        return Verdict(status, "tu", budget_used=tu.budget_used)
     if mode != "oracle":
         raise InvalidArgument(f"unknown mode {mode!r}")
+    used = 0
     for pair in enumerate_pure_pairs(complex, p, budget=budget):
         if isinstance(pair, Truncated):
-            return TorsionVerdict(status=None, mode="oracle")
+            return Verdict(None, "oracle", budget_used=used)
+        used += 1
         if relative_homology_group(pair).torsion_coeffs:
-            return TorsionVerdict(status=True, witness=pair, mode="oracle")
-    return TorsionVerdict(status=False, mode="oracle")
+            return Verdict(True, "oracle", witness=pair, budget_used=used)
+    return Verdict(False, "oracle", budget_used=used)

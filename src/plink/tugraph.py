@@ -5,12 +5,12 @@ carry circuits across an edge contraction.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
-from .complexes import (COLLAPSING, INJECTIVE, MIRROR, EdgeContraction,
-                        InvalidArgument, SimplicialComplex)
-from .homology import IntegerMatrix, boundary_matrix
+from .complexes import (COLLAPSING, MIRROR, EdgeContraction, InvalidArgument,
+                        SimplicialComplex)
+from .homology import IntegerMatrix, Verdict, boundary_matrix
 
 B_EVEN = "b-even"
 B_ODD = "b-odd"
@@ -28,6 +28,16 @@ class CircuitDomainError(ValueError):
 
 class PreconditionError(ValueError):
     """A stated precondition of the operation does not hold."""
+
+
+def _labelled(matrix: Union[IntegerMatrix, list]) -> tuple:
+    """(rows, cols, entries); a bare list of rows gets ("r", i) and ("c", j)
+    labels."""
+    if isinstance(matrix, IntegerMatrix):
+        return matrix.rows, matrix.cols, matrix.entries
+    rows = tuple(("r", i) for i in range(len(matrix)))
+    cols = tuple(("c", j) for j in range(len(matrix[0]) if matrix else 0))
+    return rows, cols, matrix
 
 
 @dataclass
@@ -58,12 +68,7 @@ class IncidenceGraph:
 
     @classmethod
     def from_matrix(cls, matrix: Union[IntegerMatrix, list]) -> "IncidenceGraph":
-        if isinstance(matrix, IntegerMatrix):
-            rows, cols, entries = matrix.rows, matrix.cols, matrix.entries
-        else:
-            entries = matrix
-            rows = tuple(("r", i) for i in range(len(entries)))
-            cols = tuple(("c", j) for j in range(len(entries[0]) if entries else 0))
+        rows, cols, entries = _labelled(matrix)
         weights = {}
         for i, r in enumerate(rows):
             for j, c in enumerate(cols):
@@ -73,10 +78,6 @@ class IncidenceGraph:
                             f"entry {entries[i][j]} at {r},{c} not in 0,+-1")
                     weights[(r, c)] = entries[i][j]
         return cls(rows=rows, cols=cols, weights=weights)
-
-    def adjacency_entries(self) -> list:
-        return [[self.weights.get((r, c), 0) for c in self.cols]
-                for r in self.rows]
 
 
 def build_p_graph(complex: SimplicialComplex, p: int) -> IncidenceGraph:
@@ -213,21 +214,6 @@ def enumerate_circuits(graph: IncidenceGraph, limit: int = 1 << 20
             yield frozenset(acc)
 
 
-def find_chordless_b_odd_circuit(graph: IncidenceGraph,
-                                 budget: Optional[int] = None):
-    """First chordless b-odd circuit in canonical search order.
-
-    Returns (circuit, "found"), (None, "none") on exhaustive absence, or
-    (None, "inconclusive") when the budget ran out.
-    """
-    for cyc in enumerate_chordless_cycles(graph, budget=budget):
-        if cyc is None:
-            return None, "inconclusive"
-        if sum(graph.weights[e] for e in cyc) % 4 == 2:
-            return cyc, "found"
-    return None, "none"
-
-
 # -- total unimodularity ----------------------------------------------------
 
 def det_int(mat: list) -> int:
@@ -254,99 +240,63 @@ def det_int(mat: list) -> int:
     return sign * a[n - 1][n - 1]
 
 
-@dataclass
-class TUVerdict:
-    status: Optional[bool]         # True / False / None (inconclusive)
-    strategy: str
-    witness: object = None         # offending submatrix or b-odd circuit
-    budget_used: Optional[int] = None
-
-    def __bool__(self):
-        if self.status is None:
-            raise ValueError("inconclusive verdict has no truth value")
-        return self.status
-
-    def to_json(self) -> dict:
-        w = self.witness
-        if isinstance(w, frozenset):
-            w = sorted([{"q": list(r), "p": list(c), "w": 0} for (r, c) in w],
-                       key=lambda d: (d["q"], d["p"]))
-        elif isinstance(w, dict):
-            w = {k: (list(map(list, v)) if isinstance(v, tuple) else v)
-                 for k, v in w.items()}
-        return {"status": self.status, "strategy": self.strategy, "witness": w}
-
-
 MAX_DET_ORDER = 8
 
 
-def _tu_by_determinants(rows, cols, entries) -> TUVerdict:
+def _tu_by_determinants(rows, cols, entries, budget) -> Verdict:
     m, n = len(rows), len(cols)
-    for i in range(m):
-        for j in range(n):
-            if entries[i][j] not in (-1, 0, 1):
-                return TUVerdict(False, "determinant",
-                                 witness={"rows": (rows[i],), "cols": (cols[j],),
-                                          "det": entries[i][j]})
     cap = min(MAX_DET_ORDER, m, n)
     checked = 0
     for k in range(2, cap + 1):
         for ri in itertools.combinations(range(m), k):
             sub = [entries[i] for i in ri]
             for cj in itertools.combinations(range(n), k):
+                if budget is not None and checked >= budget:
+                    return Verdict(None, "determinant", budget_used=checked)
                 d = det_int([[row[j] for j in cj] for row in sub])
                 checked += 1
                 if abs(d) >= 2:
-                    return TUVerdict(False, "determinant",
-                                     witness={"rows": tuple(rows[i] for i in ri),
-                                              "cols": tuple(cols[j] for j in cj),
-                                              "det": d},
-                                     budget_used=checked)
+                    return Verdict(False, "determinant",
+                                   witness={"rows": tuple(rows[i] for i in ri),
+                                            "cols": tuple(cols[j] for j in cj),
+                                            "det": d},
+                                   budget_used=checked)
     if min(m, n) > MAX_DET_ORDER:
-        return TUVerdict(None, "determinant", budget_used=checked)
-    return TUVerdict(True, "determinant", budget_used=checked)
+        return Verdict(None, "determinant", budget_used=checked)
+    return Verdict(True, "determinant", budget_used=checked)
 
 
-def is_totally_unimodular(matrix: Union[IntegerMatrix, IncidenceGraph, list],
+def is_totally_unimodular(matrix: Union[IntegerMatrix, list],
                           strategy: str = "circuit",
-                          budget: Optional[int] = None) -> TUVerdict:
-    """Decide total unimodularity of a 0/+-1 matrix.
+                          budget: Optional[int] = None) -> Verdict:
+    """Decide total unimodularity of an integer matrix (an IntegerMatrix, or
+    a list of rows labelled ("r", i) and ("c", j)).
 
-    strategy="determinant" enumerates square submatrices up to order 8 and
-    returns an offending submatrix as witness; strategy="circuit" searches the
-    bipartite graph representation for a chordless b-odd circuit.
+    An entry outside 0/+-1 is its own 1x1 witness.  strategy="determinant"
+    checks square submatrices of order 2..8 (the budget caps the submatrices
+    checked) and returns an offending submatrix as witness; it is
+    inconclusive beyond order 8.  strategy="circuit" searches the bipartite
+    graph representation for a chordless b-odd circuit (the budget caps the
+    search nodes).  A spent budget gives status None.
     """
-    if isinstance(matrix, IncidenceGraph):
-        graph = matrix
-        rows, cols, entries = graph.rows, graph.cols, graph.adjacency_entries()
-    else:
-        if isinstance(matrix, IntegerMatrix):
-            rows, cols, entries = matrix.rows, matrix.cols, matrix.entries
-        else:
-            entries = matrix
-            rows = tuple(("r", i) for i in range(len(entries)))
-            cols = tuple(("c", j) for j in
-                         range(len(entries[0]) if entries else 0))
-        graph = None
-    if strategy == "determinant":
-        return _tu_by_determinants(rows, cols, entries)
-    if strategy != "circuit":
+    if strategy not in ("circuit", "determinant"):
         raise InvalidArgument(f"unknown strategy {strategy!r}")
+    rows, cols, entries = _labelled(matrix)
     for i, row in enumerate(entries):
         for j, v in enumerate(row):
             if v not in (-1, 0, 1):
-                return TUVerdict(False, "circuit",
-                                 witness={"rows": (rows[i],), "cols": (cols[j],),
-                                          "det": v})
-    if graph is None:
-        graph = IncidenceGraph.from_matrix(
-            IntegerMatrix(rows=rows, cols=cols, entries=entries))
-    circuit, state = find_chordless_b_odd_circuit(graph, budget=budget)
-    if state == "found":
-        return TUVerdict(False, "circuit", witness=circuit)
-    if state == "inconclusive":
-        return TUVerdict(None, "circuit")
-    return TUVerdict(True, "circuit")
+                return Verdict(False, strategy,
+                               witness={"rows": (rows[i],), "cols": (cols[j],),
+                                        "det": v})
+    if strategy == "determinant":
+        return _tu_by_determinants(rows, cols, entries, budget)
+    graph = IncidenceGraph.from_matrix(matrix)
+    for cycle in enumerate_chordless_cycles(graph, budget=budget):
+        if cycle is None:
+            return Verdict(None, "circuit", budget_used=budget)
+        if sum(graph.weights[e] for e in cycle) % 4 == 2:
+            return Verdict(False, "circuit", witness=cycle)
+    return Verdict(True, "circuit")
 
 
 # -- dual classification under a contraction --------------------------------

@@ -20,8 +20,7 @@ from plink.ohcp import (OPTIMAL, OHCPInstance, solve_ohcp_ilp, solve_ohcp_lp)
 from plink.tugraph import (B_ODD, IncidenceGraph, b_parity, build_p_graph,
                            construct_preimage_circuit,
                            enumerate_chordless_cycles, enumerate_circuits,
-                           find_chordless_b_odd_circuit, is_totally_unimodular,
-                           map_circuit_f)
+                           is_totally_unimodular, map_circuit_f)
 
 
 def report(n, ok, budget_s, elapsed, detail):

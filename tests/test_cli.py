@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -78,6 +79,25 @@ def test_tu_check_exit_codes(mobius_path, annulus_path, capsys):
                  "--budget", "2"]) == EXIT_INCONCLUSIVE
 
 
+def test_tu_check_witness_carries_entry_weights(tmp_path, capsys):
+    p = tmp_path / "m9.scx"
+    assert main(["generate", "mobius", "--k", "9", "-o", str(p)]) == EXIT_OK
+    assert main(["tu-check", str(p), "--p", "2", "--json"]) == EXIT_NEGATIVE
+    witness = json.loads(capsys.readouterr().out)["witness"]
+    assert witness and all(e["w"] in (1, -1) for e in witness)
+    assert sum(e["w"] for e in witness) % 4 == 2
+
+
+def test_tu_check_determinant_honours_budget(tmp_path, capsys):
+    p = tmp_path / "m9.scx"
+    assert main(["generate", "mobius", "--k", "9", "-o", str(p)]) == EXIT_OK
+    start = time.perf_counter()
+    assert main(["tu-check", str(p), "--p", "2", "--strategy", "determinant",
+                 "--budget", "10", "--json"]) == EXIT_INCONCLUSIVE
+    assert time.perf_counter() - start < 1.0
+    assert json.loads(capsys.readouterr().out)["status"] is None
+
+
 def test_tu_check_strategies_agree(mobius_path, capsys):
     for strategy in ("circuit", "determinant"):
         assert main(["tu-check", mobius_path, "--p", "2", "--strategy",
@@ -125,6 +145,12 @@ def test_reduce_gate_parsing(annulus_path, tmp_path):
                  "-o", str(tmp_path / "o.scx")]) == EXIT_OK
     assert main(["reduce", annulus_path, "--gate", "sideways",
                  "-o", str(tmp_path / "o2.scx")]) == EXIT_USAGE
+
+
+def test_generate_rejects_bad_mobius_sizes(tmp_path):
+    for name in ("mobius", "mobius-boundary"):
+        assert main(["generate", name, "--k", "4",
+                     "-o", str(tmp_path / "x.scx")]) == EXIT_USAGE
 
 
 def test_usage_errors(tmp_path, annulus_path, capsys):

@@ -20,6 +20,12 @@ def test_mobius_validation():
         mobius(3)
 
 
+def test_mobius_boundary_validation():
+    for k in (3, 4):
+        with pytest.raises(InvalidArgument):
+            mobius_boundary(k)
+
+
 def test_mobius_boundary_edges_lie_in_one_triangle():
     cx = mobius(7)
     bd = mobius_boundary(7)

@@ -234,6 +234,15 @@ def test_has_relative_torsion_budget_inconclusive():
         bool(verdict)
 
 
+def test_has_relative_torsion_oracle_budget_rule():
+    cx = SimplicialComplex.from_maximal([(0, 1, 2), (1, 2, 3)])  # 45 pairs
+    for budget in range(50):
+        v = has_relative_torsion(cx, 1, mode="oracle", budget=budget)
+        assert v.mode == "oracle"
+        assert v.status is (None if budget < 45 else False)
+        assert v.budget_used == min(budget, 45)
+
+
 def test_has_relative_torsion_tu_mode():
     assert has_relative_torsion(mobius(5), 1, mode="tu").status is True
     cx = SimplicialComplex.from_maximal([(0, 1, 2), (1, 2, 3)])

@@ -15,8 +15,7 @@ from plink.tugraph import (B_EVEN, B_ODD, COLLAPSING_EDGE, MIRROR_CONNECTION,
                            build_p_graph, classify_duals,
                            construct_preimage_circuit, det_int,
                            enumerate_chordless_cycles, enumerate_circuits,
-                           find_chordless_b_odd_circuit, is_totally_unimodular,
-                           map_circuit_f)
+                           is_totally_unimodular, map_circuit_f)
 
 sign_matrix_st = st.integers(1, 5).flatmap(
     lambda m: st.integers(1, 5).flatmap(
@@ -69,7 +68,6 @@ def test_from_matrix_builds_edges():
     g = IncidenceGraph.from_matrix([[1, -1], [0, 1]])
     assert g.weights == {(("r", 0), ("c", 0)): 1, (("r", 0), ("c", 1)): -1,
                          (("r", 1), ("c", 1)): 1}
-    assert g.adjacency_entries() == [[1, -1], [0, 1]]
 
 
 def test_from_matrix_rejects_big_entries():
@@ -131,14 +129,16 @@ def test_enumerate_circuits_cycle_space_size():
         b_parity(g, c)  # every element of the cycle space is a circuit
 
 
-def test_find_chordless_b_odd_circuit_states():
-    assert find_chordless_b_odd_circuit(
-        build_p_graph(annulus(3), 2))[1] == "none"
-    circ, state = find_chordless_b_odd_circuit(build_p_graph(mobius(5), 2))
-    assert state == "found"
-    assert sum(build_p_graph(mobius(5), 2).weights[e] for e in circ) % 4 == 2
-    assert find_chordless_b_odd_circuit(
-        build_p_graph(mobius(5), 2), budget=2)[1] == "inconclusive"
+def test_circuit_strategy_states():
+    assert is_totally_unimodular(
+        boundary_matrix(annulus(3), 2)).status is True
+    v = is_totally_unimodular(boundary_matrix(mobius(5), 2))
+    assert v.status is False
+    weights = build_p_graph(mobius(5), 2).weights
+    assert sum(weights[e] for e in v.witness) % 4 == 2
+    v = is_totally_unimodular(boundary_matrix(mobius(5), 2), budget=2)
+    assert v.status is None
+    assert v.budget_used == 2
 
 
 # -- determinants and TU ------------------------------------------------------
@@ -175,6 +175,25 @@ def test_tu_false_comes_with_witness():
     assert v2.status is False
     g = build_p_graph(mobius(5), 2)
     assert b_parity(g, v2.witness) == B_ODD
+
+
+@given(sign_matrix_st)
+def test_tu_budget_only_makes_verdicts_inconclusive(entries):
+    for strategy in ("circuit", "determinant"):
+        unbounded = is_totally_unimodular(entries, strategy=strategy).status
+        for budget in range(21):
+            v = is_totally_unimodular(entries, strategy=strategy,
+                                      budget=budget)
+            assert v.status is None or v.status is unbounded
+            assert v.budget_used is None or v.budget_used <= budget
+
+
+def test_tu_determinant_honours_budget():
+    v = is_totally_unimodular(boundary_matrix(mobius(9), 2),
+                              strategy="determinant", budget=10)
+    assert v.status is None
+    assert v.budget_used == 10
+    assert v.mode == "determinant"
 
 
 def test_tu_inconclusive_budget():
