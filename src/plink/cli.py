@@ -232,7 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rel-torsion", help="relative torsion search")
     p.add_argument("complex")
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--mode", choices=("oracle", "tu"), default="tu")
+    p.add_argument("--mode", choices=("oracle", "tu"), default="tu",
+                   help="oracle walks every pure pair, exponentially many: "
+                        "give it a --budget")
     common(p, budget=True)
     p.set_defaults(func=cmd_rel_torsion)
 

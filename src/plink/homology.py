@@ -155,8 +155,61 @@ def smith_normal_form(entries: list) -> SNFResult:
     return SNFResult(diag=diag, rank=len(diag), U=U, V=V)
 
 
+# -- fraction-free (Bareiss) elimination -------------------------------------
+
+def _bareiss_step(a: list, k: int, c: int, prev: int) -> int:
+    """Eliminate column c below the nonzero pivot a[k][c]: each entry of
+    rows k+1.. and columns c+1.. becomes a minor, divided exactly by the
+    previous pivot prev (Bareiss 1968).  Returns the new pivot."""
+    rk = a[k]
+    piv = rk[c]
+    cols = range(c + 1, len(rk))
+    for i in range(k + 1, len(a)):
+        ri = a[i]
+        f = ri[c]
+        for j in cols:
+            ri[j] = (ri[j] * piv - f * rk[j]) // prev
+    return piv
+
+
+def det_int(mat: list) -> int:
+    """Exact determinant of a square integer matrix; stops at the first
+    column with no pivot."""
+    a = [list(row) for row in mat]
+    n = len(a)
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        prev = _bareiss_step(a, k, k, prev)
+    return sign * prev
+
+
 def matrix_rank(entries: list) -> int:
-    return smith_normal_form(entries).rank
+    """Rank of an integer matrix; a column with no pivot is skipped."""
+    a = [list(row) for row in entries]
+    m = len(a)
+    rank = 0
+    prev = 1
+    for c in range(len(a[0]) if m else 0):
+        for i in range(rank, m):
+            if a[i][c]:
+                break
+        else:
+            continue
+        a[rank], a[i] = a[i], a[rank]
+        prev = _bareiss_step(a, rank, c, prev)
+        rank += 1
+        if rank == m:
+            break
+    return rank
 
 
 @dataclass
@@ -171,20 +224,24 @@ class HomologyGroup:
         return {"p": p, "betti": self.betti, "torsion": list(self.torsion_coeffs)}
 
 
+def _homology(n_p: int, d_p: list, d_next: list) -> HomologyGroup:
+    """H_p from the number of p-cells and the entries of [d_p] and
+    [d_{p+1}] (an empty list for a zero map): the betti number is
+    n_p - rank d_p - rank d_{p+1}, the torsion the invariant factors of
+    d_{p+1} above 1."""
+    diag = smith_normal_form(d_next).diag
+    return HomologyGroup(betti=n_p - matrix_rank(d_p) - len(diag),
+                         torsion_coeffs=[d for d in diag if d > 1])
+
+
 def homology_group(complex: SimplicialComplex, p: int) -> HomologyGroup:
     """H_p over the integers: betti number and torsion coefficients."""
     if not 0 <= p <= complex.dim:
         raise InvalidArgument(f"p={p} out of range for dim {complex.dim}")
-    n_p = len(complex.p_simplices(p))
-    rank_dp = 0
-    if p >= 1:
-        rank_dp = matrix_rank(boundary_matrix(complex, p).entries)
-    if p + 1 <= complex.dim:
-        snf = smith_normal_form(boundary_matrix(complex, p + 1).entries)
-        rank_next, torsion = snf.rank, [d for d in snf.diag if d > 1]
-    else:
-        rank_next, torsion = 0, []
-    return HomologyGroup(betti=n_p - rank_dp - rank_next, torsion_coeffs=torsion)
+    return _homology(
+        len(complex.p_simplices(p)),
+        boundary_matrix(complex, p).entries if p >= 1 else [],
+        boundary_matrix(complex, p + 1).entries if p < complex.dim else [])
 
 
 # -- relative homology on pure (p+1, p) pairs -------------------------------
@@ -232,13 +289,10 @@ def relative_homology_group(pair: SubcomplexPair) -> HomologyGroup:
     """H_p(L, L0) at the pair's dimension p."""
     p = pair.p
     rel_p1 = relative_boundary_matrix(pair, p + 1)
-    n_p = len(rel_p1.rows)
-    snf = smith_normal_form(rel_p1.entries)
-    torsion = [d for d in snf.diag if d > 1]
-    rank_p = 0
-    if p >= 1:
-        rank_p = matrix_rank(relative_boundary_matrix(pair, p).entries)
-    return HomologyGroup(betti=n_p - rank_p - snf.rank, torsion_coeffs=torsion)
+    return _homology(
+        len(rel_p1.rows),
+        relative_boundary_matrix(pair, p).entries if p >= 1 else [],
+        rel_p1.entries)
 
 
 class Truncated:

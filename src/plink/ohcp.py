@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .complexes import (Chain, InvalidArgument, Simplex, SimplicialComplex,
-                        canon)
+                        canon, chain_boundary)
 from .homology import boundary_matrix, smith_normal_form
 
 OPTIMAL = "optimal"
@@ -279,7 +279,6 @@ def _extract(instance: OHCPInstance, res: LPResult) -> LPSolution:
 
 
 def _check_certificate(instance: OHCPInstance, sol: LPSolution) -> None:
-    cx, p = instance.complex, instance.p
     diff = dict(sol.chain)
     for s, v in instance.chain.items():
         d = diff.get(canon(s), 0) - v
@@ -287,16 +286,7 @@ def _check_certificate(instance: OHCPInstance, sol: LPSolution) -> None:
             diff[canon(s)] = d
         else:
             diff.pop(canon(s), None)
-    boundary: Chain = {}
-    if sol.certificate:
-        bm = boundary_matrix(cx, p + 1)
-        cindex = {s: j for j, s in enumerate(bm.cols)}
-        for i, tau in enumerate(bm.rows):
-            acc = sum(bm.entries[i][cindex[s]] * v
-                      for s, v in sol.certificate.items())
-            if acc:
-                boundary[tau] = acc
-    if diff != boundary:
+    if diff != chain_boundary(sol.certificate):
         raise InvalidArgument("certificate identity x = c + dy failed")
 
 
@@ -316,63 +306,38 @@ def verify_homologous(complex: SimplicialComplex, p: int, c: Chain, x: Chain,
     """Is x homologous to c, i.e. is x - c a (p+1)-boundary?
 
     Returns (True, y) with the certificate chain, or (False, None).
-    coefficients="integer" demands an integer certificate (solved through the
-    Smith normal form transforms); "rational" uses exact elimination.
+    coefficients="integer" demands an integer certificate (int coefficients),
+    "rational" allows Fractions.  Both solve B y = x - c through the Smith
+    normal form U B V = D: D z = U (x - c) is diagonal, and y = V z.
     """
+    if coefficients not in ("integer", "rational"):
+        raise InvalidArgument(f"unknown coefficient mode {coefficients!r}")
     for ch in (c, x):
         for s in ch:
             if canon(s) not in complex.simplices or len(s) != p + 1:
                 raise InvalidArgument(f"chain simplex {s} invalid")
-    p_simplices = complex.p_simplices(p)
-    d = [Fraction(x.get(s, 0)) - Fraction(c.get(s, 0)) for s in p_simplices]
+    d = [Fraction(x.get(s, 0)) - Fraction(c.get(s, 0))
+         for s in complex.p_simplices(p)]
     if p >= complex.dim:
         return (True, {}) if not any(d) else (False, None)
-    bm = boundary_matrix(complex, p + 1)
-    if coefficients == "integer":
+    integer = coefficients == "integer"
+    if integer:
         if any(v.denominator != 1 for v in d):
             return (False, None)
-        snf = smith_normal_form(bm.entries)
-        m, n = len(bm.rows), len(bm.cols)
-        ud = [sum(snf.U[i][k] * int(d[k]) for k in range(m)) for i in range(m)]
-        z = [0] * n
-        for i in range(m):
-            di = snf.diag[i] if i < len(snf.diag) else 0
-            if di:
-                if ud[i] % di:
-                    return (False, None)
-                z[i] = ud[i] // di
-            elif ud[i]:
+        d = [int(v) for v in d]
+    bm = boundary_matrix(complex, p + 1)
+    snf = smith_normal_form(bm.entries)
+    z = [0] * len(bm.cols)
+    for i, row in enumerate(snf.U):
+        ud = sum(u * v for u, v in zip(row, d))
+        if i >= snf.rank:
+            if ud:
                 return (False, None)
-        y = [sum(snf.V[i][j] * z[j] for j in range(n)) for i in range(n)]
-        cert = {s: y[j] for j, s in enumerate(bm.cols) if y[j]}
-        return (True, cert)
-    if coefficients != "rational":
-        raise InvalidArgument(f"unknown coefficient mode {coefficients!r}")
-    # rational: Gaussian elimination on [B | d]
-    A = [[Fraction(v) for v in row] + [d[i]]
-         for i, row in enumerate(bm.entries)]
-    m, n = len(bm.rows), len(bm.cols)
-    pivots = []
-    r = 0
-    for col in range(n):
-        pr = next((i for i in range(r, m) if A[i][col]), None)
-        if pr is None:
-            continue
-        A[r], A[pr] = A[pr], A[r]
-        A[r] = [v / A[r][col] for v in A[r]]
-        for i in range(m):
-            if i != r and A[i][col]:
-                f = A[i][col]
-                A[i] = [u - f * v for u, v in zip(A[i], A[r])]
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if A[i][n]:
-            return (False, None)
-    y = [Fraction(0)] * n
-    for i, col in enumerate(pivots):
-        y[col] = A[i][n]
-    cert = {s: y[j] for j, s in enumerate(bm.cols) if y[j]}
-    return (True, cert)
+        elif integer:
+            if ud % snf.diag[i]:
+                return (False, None)
+            z[i] = ud // snf.diag[i]
+        else:
+            z[i] = Fraction(ud, snf.diag[i])
+    y = [sum(v * zj for v, zj in zip(row, z)) for row in snf.V]
+    return (True, {s: y[j] for j, s in enumerate(bm.cols) if y[j]})

@@ -10,7 +10,7 @@ from typing import Iterator, Optional, Union
 
 from .complexes import (COLLAPSING, MIRROR, EdgeContraction, InvalidArgument,
                         SimplicialComplex)
-from .homology import IntegerMatrix, Verdict, boundary_matrix
+from .homology import IntegerMatrix, Verdict, boundary_matrix, det_int
 
 B_EVEN = "b-even"
 B_ODD = "b-odd"
@@ -63,9 +63,6 @@ class IncidenceGraph:
     def edges(self) -> list:
         return sorted(self.weights)
 
-    def has_edge(self, r, c) -> bool:
-        return (r, c) in self.weights
-
     @classmethod
     def from_matrix(cls, matrix: Union[IntegerMatrix, list]) -> "IncidenceGraph":
         rows, cols, entries = _labelled(matrix)
@@ -87,14 +84,6 @@ def build_p_graph(complex: SimplicialComplex, p: int) -> IncidenceGraph:
 
 
 # -- circuits and b-parity --------------------------------------------------
-
-def circuit_vertices(circuit) -> set:
-    out = set()
-    for (r, c) in circuit:
-        out.add(r)
-        out.add(c)
-    return out
-
 
 def check_circuit(graph: IncidenceGraph, circuit) -> None:
     degrees = {}
@@ -215,30 +204,6 @@ def enumerate_circuits(graph: IncidenceGraph, limit: int = 1 << 20
 
 
 # -- total unimodularity ----------------------------------------------------
-
-def det_int(mat: list) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    a = [list(row) for row in mat]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
 
 MAX_DET_ORDER = 8
 

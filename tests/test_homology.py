@@ -89,6 +89,34 @@ def test_matrix_rank_matches_field_rank():
     assert matrix_rank([[0, 0], [0, 0]]) == 0
 
 
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def sympy_matrix(sympy, A):
+    return sympy.Matrix(len(A), len(A[0]) if A else 0,
+                        [v for row in A for v in row])
+
+
+@given(int_matrix_st)
+def test_matrix_rank_matches_snf_rank(A):
+    # the full Smith normal form stays the slow reference for the rank
+    assert matrix_rank(A) == smith_normal_form(A).rank
+
+
+@given(int_matrix_st)
+def test_matrix_rank_matches_sympy(sympy, A):
+    assert matrix_rank(A) == sympy_matrix(sympy, A).rank()
+
+
+@given(int_matrix_st)
+def test_snf_diag_matches_sympy_invariant_factors(sympy, A):
+    from sympy.matrices.normalforms import invariant_factors
+    ref = invariant_factors(sympy_matrix(sympy, A), domain=sympy.ZZ)
+    assert smith_normal_form(A).diag == [int(d) for d in ref if d]
+
+
 # -- boundary matrices --------------------------------------------------------
 
 def test_boundary_matrix_shape_and_entries():

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from plink.complexes import InvalidArgument, SimplicialComplex, chain_boundary
+from plink import ohcp
+from plink.complexes import (InvalidArgument, SimplicialComplex, boundary_of,
+                             chain_boundary)
 from plink.fixtures import annulus, cone, mobius, random_complex
 from plink.homology import boundary_matrix
 from plink.ohcp import (BUDGET_EXCEEDED, INFEASIBLE, OPTIMAL, UNBOUNDED,
@@ -137,6 +139,23 @@ def test_ohcp_certificate_identity():
     assert diff == chain_boundary(sol.certificate)
 
 
+def test_ohcp_rejects_tampered_certificate(monkeypatch):
+    # one changed coefficient of y breaks x = c + dy on the optimum
+    cx = annulus(4)
+    chain = {(0, 1): 1, (1, 2): 1, (2, 3): 1, (0, 3): -1}
+    first_y = 2 * len(cx.p_simplices(1))    # y+ of the first triangle
+    solve = ohcp.solve_lp_exact
+
+    def tampered(lp):
+        res = solve(lp)
+        res.values[first_y] += 1
+        return res
+
+    monkeypatch.setattr(ohcp, "solve_lp_exact", tampered)
+    with pytest.raises(InvalidArgument, match="certificate identity"):
+        solve_ohcp_lp(OHCPInstance(complex=cx, p=1, chain=chain))
+
+
 def test_ohcp_respects_weights():
     # two homologous rims; make the input rim expensive
     cx = annulus(3)
@@ -229,3 +248,59 @@ def test_verify_homologous_fractional_diff_never_integer():
     cx = SimplicialComplex.from_maximal([(0, 1, 2)])
     ok, cert = verify_homologous(cx, 1, {}, {(0, 1): F(1, 2)}, "integer")
     assert not ok
+
+
+def test_verify_homologous_matches_rank_and_invariant_factor_tests():
+    # x = c + dy0, y0 sometimes halved, x sometimes shifted by 1 or 1/2 on
+    # one simplex.  Rationally, B y = d is solvable iff rank B = rank [B | d];
+    # integrally, iff d is integral and B and [B | d] have the same nonzero
+    # invariant factors.
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    def factors(M):
+        return [f for f in invariant_factors(M, domain=sympy.ZZ) if f]
+
+    r = random.Random(4242)
+    seen = set()
+    for _ in range(40):
+        cx = random_complex(r, n_vertices=7, max_dim=3, n_generators=5)
+        for p in range(cx.dim):
+            ps, qs = cx.p_simplices(p), cx.p_simplices(p + 1)
+            c = {s: r.choice([-2, -1, 1, 2])
+                 for s in r.sample(ps, min(3, len(ps)))}
+            scale = r.choice([1, 1, F(1, 2)])
+            y0 = {t: scale * r.randint(-2, 2) for t in qs}
+            x = dict(c)
+            for s, v in chain_boundary(y0).items():
+                x[s] = x.get(s, 0) + v
+            shift = r.choice([0, 0, 1, F(1, 2)])
+            shifted = r.choice(ps)
+            x[shifted] = x.get(shifted, 0) + shift
+            x = {s: v for s, v in x.items() if v}
+            diff = {s: F(x.get(s, 0) - c.get(s, 0)) for s in ps}
+            B = sympy.Matrix(len(ps), len(qs), lambda i, j:
+                             boundary_of(qs[j]).get(ps[i], 0))
+            Bd = B.row_join(sympy.Matrix(
+                [sympy.Rational(v.numerator, v.denominator)
+                 for v in diff.values()]))
+            expect = {"rational": B.rank() == Bd.rank(),
+                      "integer": all(v.denominator == 1
+                                     for v in diff.values())
+                      and factors(B) == factors(Bd)}
+            if shift == 0:
+                assert expect["rational"] and (expect["integer"]
+                                               or scale != 1)
+            seen.add(tuple(expect.values()))
+            for mode, ref in expect.items():
+                ok, y = verify_homologous(cx, p, c, x, mode)
+                assert ok is ref, (mode, p, sorted(cx.simplices))
+                if not ok:
+                    assert y is None
+                    continue
+                assert chain_boundary(y) == {s: v for s, v in diff.items()
+                                             if v}
+                kinds = {int} if mode == "integer" else {int, Fraction}
+                assert all(type(v) in kinds for v in y.values())
+    # every (rational, integer) outcome but the impossible (False, True)
+    assert seen == {(True, True), (True, False), (False, False)}
