@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .complexes import (Chain, InvalidArgument, Simplex, SimplicialComplex,
-                        canon, chain_boundary)
+from .complexes import (Chain, InvalidArgument, SimplicialComplex, canon,
+                        chain_boundary)
 from .homology import boundary_matrix, smith_normal_form
 
 OPTIMAL = "optimal"
@@ -27,7 +27,6 @@ class LinearProgram:
     objective: list                 # Fractions, length N
     rows: list                      # list of lists of Fractions
     rhs: list                       # Fractions, length m
-    var_names: list                 # parallel to objective
 
 
 @dataclass
@@ -38,21 +37,25 @@ class LPResult:
 
 
 def solve_lp_exact(lp: LinearProgram) -> LPResult:
-    """Two-phase primal simplex over exact rationals, Bland's rule."""
+    """Two-phase primal simplex over exact rationals, Bland's rule.
+
+    Below the m constraint rows the tableau holds the phase-2 and then the
+    phase-1 objective row: reduced costs, and minus the objective value in
+    the last cell.  Pivots update them like every other row.
+    """
     m = len(lp.rows)
     n = len(lp.objective)
-    T = [[Fraction(v) for v in row] + [Fraction(lp.rhs[i])]
-         for i, row in enumerate(lp.rows)]
-    for row in T:
-        if row[-1] < 0:
-            for k in range(n + 1):
-                row[k] = -row[k]
-    # phase 1: append artificials
-    for i, row in enumerate(T):
-        row[-1:-1] = [Fraction(1) if k == i else Fraction(0) for k in range(m)]
+    T = []
+    for i, (row, b) in enumerate(zip(lp.rows, lp.rhs)):
+        sign = -1 if b < 0 else 1
+        T.append([sign * Fraction(v) for v in row]
+                 + [Fraction(int(k == i)) for k in range(m)]
+                 + [sign * Fraction(b)])
     basis = [n + i for i in range(m)]
-    total = n + m
-    cost1 = [Fraction(0)] * n + [Fraction(1)] * m
+    T.append([Fraction(c) for c in lp.objective] + [Fraction(0)] * (m + 1))
+    # phase 1 minimises the sum of the artificials, priced out of the basis
+    T.append([-sum(row[j] for row in T[:m]) for j in range(n)]
+             + [Fraction(0)] * m + [-sum(row[-1] for row in T[:m])])
 
     def pivot(ri, cj):
         piv = T[ri][cj]
@@ -63,37 +66,29 @@ def solve_lp_exact(lp: LinearProgram) -> LPResult:
                 T[i] = [a - f * b for a, b in zip(T[i], T[ri])]
         basis[ri] = cj
 
-    def optimize(cost, ncols):
+    def optimize(ncols):
+        """Pivot on the last row's costs; False when unbounded."""
         while True:
-            cb = [cost[j] for j in basis]
-            entering = None
-            for j in range(ncols):
-                if j in basis:
-                    continue
-                red = cost[j] - sum(cb[i] * T[i][j] for i in range(len(T)))
-                if red < 0:
-                    entering = j
-                    break
+            entering = next((j for j in range(ncols) if T[-1][j] < 0), None)
             if entering is None:
-                return "optimal"
+                return True
             leaving = None
             best = None
-            for i in range(len(T)):
+            for i in range(len(basis)):
                 if T[i][entering] > 0:
                     ratio = T[i][-1] / T[i][entering]
                     if (best is None or ratio < best
                             or (ratio == best and basis[i] < basis[leaving])):
                         best, leaving = ratio, i
             if leaving is None:
-                return "unbounded"
+                return False
             pivot(leaving, entering)
 
-    state = optimize(cost1, total)
-    phase1 = sum(cost1[j] * T[i][-1] for i, j in enumerate(basis))
-    if phase1 > 0:
+    optimize(n + m)
+    if T.pop()[-1]:
         return LPResult(status=INFEASIBLE)
     # drive artificials out of the basis, drop redundant rows
-    for i in reversed(range(len(T))):
+    for i in reversed(range(len(basis))):
         if basis[i] >= n:
             for j in range(n):
                 if T[i][j]:
@@ -104,105 +99,86 @@ def solve_lp_exact(lp: LinearProgram) -> LPResult:
                 del basis[i]
     for row in T:
         del row[n:-1]
-    cost2 = [Fraction(c) for c in lp.objective]
-    state = optimize(cost2, n)
-    if state == "unbounded":
+    if not optimize(n):
         return LPResult(status=UNBOUNDED)
     values = [Fraction(0)] * n
     for i, j in enumerate(basis):
         values[j] = T[i][-1]
-    obj = sum(c * v for c, v in zip(cost2, values))
-    return LPResult(status=OPTIMAL, values=values, objective=obj)
+    return LPResult(status=OPTIMAL, values=values, objective=-T[-1][-1])
 
 
-def solve_lp_with_bounds(lp: LinearProgram, bounds: list) -> LPResult:
-    """Solve lp with extra single-variable bounds (var, "<="|">=", int),
-    encoded as slack/surplus rows."""
-    if not bounds:
-        return solve_lp_exact(lp)
-    n = len(lp.objective)
-    extra = len(bounds)
-    rows = [list(r) + [Fraction(0)] * extra for r in lp.rows]
-    rhs = list(lp.rhs)
-    for k, (var, sense, val) in enumerate(bounds):
-        row = [Fraction(0)] * (n + extra)
-        row[var] = Fraction(1)
-        row[n + k] = Fraction(1) if sense == "<=" else Fraction(-1)
-        rows.append(row)
-        rhs.append(Fraction(val))
-    aug = LinearProgram(objective=list(lp.objective) + [Fraction(0)] * extra,
-                        rows=rows, rhs=rhs,
-                        var_names=list(lp.var_names) + [f"_s{k}" for k in range(extra)])
-    res = solve_lp_exact(aug)
-    if res.values is not None:
-        res = LPResult(status=res.status, values=res.values[:n],
-                       objective=res.objective)
-    return res
+def _bounded(lp: LinearProgram, var: int, sense: int,
+             val: int) -> LinearProgram:
+    """lp plus one row z[var] + sense * slack = val with a new slack column:
+    sense 1 bounds z[var] <= val, sense -1 bounds z[var] >= val."""
+    row = [Fraction(0)] * len(lp.objective) + [Fraction(sense)]
+    row[var] = Fraction(1)
+    return LinearProgram(objective=lp.objective + [Fraction(0)],
+                         rows=[r + [Fraction(0)] for r in lp.rows] + [row],
+                         rhs=lp.rhs + [Fraction(val)])
 
 
 def solve_ilp(lp: LinearProgram, budget: Optional[int] = None) -> LPResult:
     """Branch and bound on fractional variables with exact LP relaxations.
 
-    Branches on the most fractional variable, ties by lowest index; depth
-    first, floor branch first.  budget caps the number of LP solves.
+    A node is an LP: its parent plus one bound row (``_bounded``).  Branches
+    on the most fractional variable, ties by lowest index; depth first, floor
+    branch first.  A node whose relaxation is infeasible or unbounded is
+    pruned, so an unbounded relaxation reads INFEASIBLE.  budget caps the
+    number of LP solves.
     """
+    n = len(lp.objective)
     solves = 0
     incumbent: Optional[LPResult] = None
-    exceeded = False
-    stack = [[]]
-    while stack:
-        bounds = stack.pop()
-        if budget is not None and solves >= budget:
-            exceeded = True
-            break
+    stack = [lp]
+    while stack and (budget is None or solves < budget):
+        node = stack.pop()
         solves += 1
-        res = solve_lp_with_bounds(lp, bounds)
+        res = solve_lp_exact(node)
         if res.status != OPTIMAL:
             continue
         if incumbent is not None and res.objective >= incumbent.objective:
             continue
+        values = res.values[:n]
         frac_var = None
         best_dist = Fraction(0)
-        for j, v in enumerate(res.values):
+        for j, v in enumerate(values):
             dist = abs(v - Fraction(round(v)))
             if dist > best_dist:
                 best_dist, frac_var = dist, j
         if frac_var is None:
-            incumbent = res
+            incumbent = LPResult(status=OPTIMAL, values=values,
+                                 objective=res.objective)
             continue
-        v = res.values[frac_var]
-        stack.append(bounds + [(frac_var, ">=", math.ceil(v))])
-        stack.append(bounds + [(frac_var, "<=", math.floor(v))])
-    if incumbent is None:
-        return LPResult(status=BUDGET_EXCEEDED if exceeded else INFEASIBLE)
-    if exceeded:
-        return LPResult(status=BUDGET_EXCEEDED, values=incumbent.values,
-                        objective=incumbent.objective)
-    return incumbent
+        v = values[frac_var]
+        stack.append(_bounded(node, frac_var, -1, math.ceil(v)))
+        stack.append(_bounded(node, frac_var, 1, math.floor(v)))
+    result = incumbent or LPResult(status=INFEASIBLE)
+    if stack:   # the budget ran out with nodes left to solve
+        result.status = BUDGET_EXCEEDED
+    return result
 
 
 # -- OHCP -------------------------------------------------------------------
 
+def _check_chain(complex: SimplicialComplex, p: int, chain: Chain) -> None:
+    """Every key of chain must be a canonical p-simplex of complex."""
+    for s in chain:
+        if canon(s) != s or s not in complex.simplices or len(s) != p + 1:
+            raise InvalidArgument(f"chain simplex {s} is not a canonical "
+                                  f"{p}-simplex of the complex")
+
+
 @dataclass
 class OHCPInstance:
+    """Find the p-chain x homologous to chain that minimises
+    sum_s complex.weight(s) * |x_s|."""
     complex: SimplicialComplex
     p: int
     chain: Chain                    # input p-chain c
-    weights: Optional[dict] = None  # p-simplex -> Fraction >= 0; default 1
 
     def __post_init__(self):
-        for s in self.chain:
-            if canon(s) not in self.complex.simplices or len(s) != self.p + 1:
-                raise InvalidArgument(f"chain simplex {s} invalid")
-
-    def weight_of(self, simplex: Simplex) -> Fraction:
-        if self.weights is not None:
-            w = Fraction(self.weights.get(simplex, 1))
-        else:
-            w = self.complex.weight(simplex)
-        if w < 0:
-            raise InvalidArgument(f"negative weight on {simplex}")
-        return w
+        _check_chain(self.complex, self.p, self.chain)
 
 
 @dataclass
@@ -222,22 +198,22 @@ class LPSolution:
                 "certificate": enc(self.certificate)}
 
 
+def _layout(instance: OHCPInstance) -> tuple:
+    """The LP's variables are x+, x-, y+, y-: one block each, over the
+    p-simplices (x) and the (p+1)-simplices (y) in this order."""
+    cx, p = instance.complex, instance.p
+    return cx.p_simplices(p), cx.p_simplices(p + 1) if p < cx.dim else []
+
+
 def formulate(instance: OHCPInstance) -> LinearProgram:
     """Standard-form LP: split x and y into nonnegative parts, one equality
     row per p-simplex."""
-    cx, p = instance.complex, instance.p
-    p_simplices = cx.p_simplices(p)
-    q_simplices = cx.p_simplices(p + 1) if p < cx.dim else []
+    p_simplices, q_simplices = _layout(instance)
     np_, nq = len(p_simplices), len(q_simplices)
     if nq:
-        bm = boundary_matrix(cx, p + 1)
-    names = ([f"x+{s}" for s in p_simplices] + [f"x-{s}" for s in p_simplices]
-             + [f"y+{s}" for s in q_simplices] + [f"y-{s}" for s in q_simplices])
-    obj = [Fraction(0)] * (2 * np_ + 2 * nq)
-    for i, s in enumerate(p_simplices):
-        w = instance.weight_of(s)
-        obj[i] = w
-        obj[np_ + i] = w
+        bm = boundary_matrix(instance.complex, instance.p + 1)
+    weights = [instance.complex.weight(s) for s in p_simplices]
+    obj = weights + weights + [Fraction(0)] * (2 * nq)
     rows = []
     rhs = []
     for i, s in enumerate(p_simplices):
@@ -245,49 +221,36 @@ def formulate(instance: OHCPInstance) -> LinearProgram:
         row[i] = Fraction(1)
         row[np_ + i] = Fraction(-1)
         for j in range(nq):
-            bij = bm.entries[i][j] if nq else 0
+            bij = bm.entries[i][j]
             if bij:
                 row[2 * np_ + j] = Fraction(-bij)
                 row[2 * np_ + nq + j] = Fraction(bij)
         rows.append(row)
         rhs.append(Fraction(instance.chain.get(s, 0)))
-    return LinearProgram(objective=obj, rows=rows, rhs=rhs, var_names=names)
+    return LinearProgram(objective=obj, rows=rows, rhs=rhs)
 
 
 def _extract(instance: OHCPInstance, res: LPResult) -> LPSolution:
-    if res.status not in (OPTIMAL, BUDGET_EXCEEDED) or res.values is None:
+    """Read x and y off the LP values and check x = c + dy."""
+    if res.values is None:
         return LPSolution(status=res.status)
-    cx, p = instance.complex, instance.p
-    p_simplices = cx.p_simplices(p)
-    q_simplices = cx.p_simplices(p + 1) if p < cx.dim else []
-    np_, nq = len(p_simplices), len(q_simplices)
-    chain = {}
-    for i, s in enumerate(p_simplices):
-        v = res.values[i] - res.values[np_ + i]
-        if v:
-            chain[s] = v
-    cert = {}
-    for j, s in enumerate(q_simplices):
-        v = res.values[2 * np_ + j] - res.values[2 * np_ + nq + j]
-        if v:
-            cert[s] = v
-    sol = LPSolution(status=res.status, chain=chain, objective=res.objective,
-                     certificate=cert)
-    if res.status == OPTIMAL:
-        _check_certificate(instance, sol)
-    return sol
+    v = res.values
 
+    def difference(simplices, at):
+        k = len(simplices)
+        return {s: v[at + i] - v[at + k + i] for i, s in enumerate(simplices)
+                if v[at + i] != v[at + k + i]}
 
-def _check_certificate(instance: OHCPInstance, sol: LPSolution) -> None:
-    diff = dict(sol.chain)
-    for s, v in instance.chain.items():
-        d = diff.get(canon(s), 0) - v
-        if d:
-            diff[canon(s)] = d
-        else:
-            diff.pop(canon(s), None)
-    if diff != chain_boundary(sol.certificate):
+    p_simplices, q_simplices = _layout(instance)
+    chain = difference(p_simplices, 0)
+    cert = difference(q_simplices, 2 * len(p_simplices))
+    c = instance.chain
+    moved = {s: d for s in chain.keys() | c.keys()
+             if (d := chain.get(s, 0) - c.get(s, 0))}
+    if moved != chain_boundary(cert):
         raise InvalidArgument("certificate identity x = c + dy failed")
+    return LPSolution(status=res.status, chain=chain, objective=res.objective,
+                      certificate=cert)
 
 
 def solve_ohcp_lp(instance: OHCPInstance) -> LPSolution:
@@ -313,9 +276,7 @@ def verify_homologous(complex: SimplicialComplex, p: int, c: Chain, x: Chain,
     if coefficients not in ("integer", "rational"):
         raise InvalidArgument(f"unknown coefficient mode {coefficients!r}")
     for ch in (c, x):
-        for s in ch:
-            if canon(s) not in complex.simplices or len(s) != p + 1:
-                raise InvalidArgument(f"chain simplex {s} invalid")
+        _check_chain(complex, p, ch)
     d = [Fraction(x.get(s, 0)) - Fraction(c.get(s, 0))
          for s in complex.p_simplices(p)]
     if p >= complex.dim:

@@ -53,10 +53,11 @@ def parse_scx(text: str) -> SimplicialComplex:
 
 
 def serialize_scx(complex: SimplicialComplex) -> str:
-    maximal = [s for s in sorted(complex.simplices)
-               if not any(set(s) < set(t) for t in complex.simplices)]
+    # in a face-closed set, a simplex is maximal iff it is no facet of another
+    facets = {t[:j] + t[j + 1:] for t in complex.simplices
+              for j in range(len(t))}
     lines = []
-    for s in sorted(set(maximal) | set(complex.weights)):
+    for s in sorted((complex.simplices - facets) | set(complex.weights)):
         line = " ".join(str(v) for v in s)
         if s in complex.weights:
             line += f" w {complex.weights[s]}"

@@ -1,13 +1,15 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from plink import ohcp
 from plink.complexes import (InvalidArgument, SimplicialComplex, boundary_of,
                              chain_boundary)
-from plink.fixtures import annulus, cone, mobius, random_complex
+from plink.fixtures import (annulus, cone, mobius, mobius_ohcp_instance,
+                            random_complex)
 from plink.homology import boundary_matrix
 from plink.ohcp import (BUDGET_EXCEEDED, INFEASIBLE, OPTIMAL, UNBOUNDED,
                         LinearProgram, OHCPInstance, formulate, solve_ilp,
@@ -21,8 +23,7 @@ F = Fraction
 def lp(obj, rows, rhs):
     return LinearProgram(objective=[F(v) for v in obj],
                          rows=[[F(v) for v in r] for r in rows],
-                         rhs=[F(v) for v in rhs],
-                         var_names=[f"z{i}" for i in range(len(obj))])
+                         rhs=[F(v) for v in rhs])
 
 
 # -- exact LP solver ----------------------------------------------------------
@@ -84,6 +85,94 @@ def test_lp_solution_is_feasible(seed):
             c * v for c, v in zip(obj, res.values))
 
 
+def unique_solution(rows, rhs, cols):
+    """The one z on the columns cols with rows . z = rhs, or None when
+    there is none or there are many: Gauss-Jordan over Fractions."""
+    M = [[row[j] for j in cols] + [b] for row, b in zip(rows, rhs)]
+    for c in range(len(cols)):          # column c pivots in row c
+        piv = next((i for i in range(c, len(M)) if M[i][c]), None)
+        if piv is None:
+            return None
+        M[c], M[piv] = M[piv], M[c]
+        M[c] = [v / M[c][c] for v in M[c]]
+        for i in range(len(M)):
+            if i != c and M[i][c]:
+                M[i] = [a - M[i][c] * b for a, b in zip(M[i], M[c])]
+    if any(row[-1] for row in M[len(cols):]):
+        return None
+    return [row[-1] for row in M[:len(cols)]]
+
+
+def basic_feasible_solutions(rows, rhs, n):
+    """Every z >= 0 with rows . z = rhs whose support has independent
+    columns, found by trying every column subset."""
+    for k in range(n + 1):
+        for cols in itertools.combinations(range(n), k):
+            sol = unique_solution(rows, rhs, cols)
+            if sol is not None and all(v >= 0 for v in sol):
+                z = [F(0)] * n
+                for j, v in zip(cols, sol):
+                    z[j] = v
+                yield z
+
+
+@st.composite
+def small_lps(draw, entries=st.integers(-3, 3), values=st.integers(-3, 3)):
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    rows = [[F(draw(entries)) for _ in range(n)] for _ in range(m)]
+    rhs = [F(draw(values)) for _ in range(m)]
+    if m > 1 and draw(st.booleans()):     # a redundant last row
+        k = draw(st.integers(-2, 2))
+        rows[-1] = [a + k * b for a, b in zip(rows[0], rows[-2])]
+        rhs[-1] = rhs[0] + k * rhs[-2]
+    obj = [F(draw(st.integers(-3, 3))) for _ in range(n)]
+    return obj, rows, rhs
+
+
+@given(small_lps())
+def test_lp_matches_basic_feasible_solution_oracle(case):
+    # feasible iff some basic feasible solution exists; unbounded iff some
+    # extreme ray d >= 0, rows . d = 0, sum d = 1 has obj . d < 0;
+    # otherwise the optimum is the cheapest basic feasible solution
+    obj, rows, rhs = case
+    n = len(obj)
+
+    def cost(z):
+        return sum(c * v for c, v in zip(obj, z))
+
+    vertices = list(basic_feasible_solutions(rows, rhs, n))
+    rays = basic_feasible_solutions(rows + [[F(1)] * n],
+                                    [F(0)] * len(rows) + [F(1)], n)
+    res = solve_lp_exact(lp(obj, rows, rhs))
+    if not vertices:
+        assert res.status == INFEASIBLE
+    elif any(cost(d) < 0 for d in rays):
+        assert res.status == UNBOUNDED
+    else:
+        assert res.status == OPTIMAL
+        assert res.objective == min(cost(z) for z in vertices)
+        assert res.objective == cost(res.values)
+
+
+@settings(max_examples=300)
+@given(small_lps(entries=st.integers(1, 3), values=st.integers(0, 6)))
+def test_ilp_matches_brute_force(case):
+    # the first row is positive with rhs >= 0, so it bounds every variable
+    # and the integer points form a finite box
+    obj, rows, rhs = case
+    box = itertools.product(*(range(int(rhs[0] // a) + 1) for a in rows[0]))
+    costs = [sum(c * v for c, v in zip(obj, z)) for z in box
+             if all(sum(a * v for a, v in zip(row, z)) == b
+                    for row, b in zip(rows, rhs))]
+    res = solve_ilp(lp(obj, rows, rhs))
+    if not costs:
+        assert res.status == INFEASIBLE
+    else:
+        assert res.status == OPTIMAL
+        assert res.objective == min(costs)
+        assert all(v.denominator == 1 for v in res.values)
+
+
 # -- branch and bound ---------------------------------------------------------
 
 def test_ilp_rounds_up_fractional_lp():
@@ -139,11 +228,10 @@ def test_ohcp_certificate_identity():
     assert diff == chain_boundary(sol.certificate)
 
 
-def test_ohcp_rejects_tampered_certificate(monkeypatch):
-    # one changed coefficient of y breaks x = c + dy on the optimum
-    cx = annulus(4)
-    chain = {(0, 1): 1, (1, 2): 1, (2, 3): 1, (0, 3): -1}
-    first_y = 2 * len(cx.p_simplices(1))    # y+ of the first triangle
+def tamper_first_y(monkeypatch, cx):
+    """Make every LP solve add 1 to y+ of the first triangle: one changed
+    coefficient of y breaks x = c + dy."""
+    first_y = 2 * len(cx.p_simplices(1))
     solve = ohcp.solve_lp_exact
 
     def tampered(lp):
@@ -152,8 +240,35 @@ def test_ohcp_rejects_tampered_certificate(monkeypatch):
         return res
 
     monkeypatch.setattr(ohcp, "solve_lp_exact", tampered)
+
+
+def test_ohcp_rejects_tampered_certificate(monkeypatch):
+    cx = annulus(4)
+    chain = {(0, 1): 1, (1, 2): 1, (2, 3): 1, (0, 3): -1}
+    tamper_first_y(monkeypatch, cx)
     with pytest.raises(InvalidArgument, match="certificate identity"):
         solve_ohcp_lp(OHCPInstance(complex=cx, p=1, chain=chain))
+
+
+def test_ohcp_checks_budget_exceeded_incumbent(monkeypatch):
+    # two LP solves leave the weighted Moebius band's branch and bound
+    # with an integral incumbent and nodes still to solve
+    inst = mobius_ohcp_instance()
+    sol = solve_ohcp_ilp(inst, budget=2)
+    assert sol.status == BUDGET_EXCEEDED and sol.chain
+    tamper_first_y(monkeypatch, inst.complex)
+    with pytest.raises(InvalidArgument, match="certificate identity"):
+        solve_ohcp_ilp(inst, budget=2)
+
+
+def test_chain_keys_must_be_canonical():
+    # (1, 0) names the edge (0, 1), but chains are read by canonical key
+    cx = mobius(5)
+    with pytest.raises(InvalidArgument):
+        OHCPInstance(complex=cx, p=1, chain={(1, 0): 1})
+    for c, x in (({(1, 0): 1}, {}), ({}, {(1, 0): 1})):
+        with pytest.raises(InvalidArgument):
+            verify_homologous(cx, 1, c, x)
 
 
 def test_ohcp_respects_weights():
@@ -161,8 +276,8 @@ def test_ohcp_respects_weights():
     cx = annulus(3)
     inner = {(0, 1): 1, (1, 2): 1, (0, 2): -1}
     weights = {e: (F(10) if e in inner else F(1)) for e in cx.edges}
-    sol = solve_ohcp_lp(OHCPInstance(complex=cx, p=1, chain=inner,
-                                     weights=weights))
+    cx = SimplicialComplex(cx.simplices, weights)
+    sol = solve_ohcp_lp(OHCPInstance(complex=cx, p=1, chain=inner))
     assert sol.status == OPTIMAL
     assert set(sol.chain) == {(3, 4), (4, 5), (3, 5)}
 

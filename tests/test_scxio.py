@@ -52,6 +52,24 @@ def test_scx_round_trip(seed):
     assert parse_scx(serialize_scx(cx)) == cx
 
 
+def test_serialize_scx_writes_maximal_and_weighted_simplices():
+    r = random.Random(31)
+    for _ in range(60):
+        cx = random_complex(r, n_vertices=8, max_dim=4, n_generators=6)
+        p = r.randint(0, cx.dim)
+        cx = SimplicialComplex(cx.simplices,
+                               {s: r.randint(0, 3) for s in cx.p_simplices(p)
+                                if r.random() < 0.3})
+        maximal = {s for s in cx.simplices
+                   if not any(set(s) < set(t) for t in cx.simplices)}
+        lines = [line.split(" w ") for line in
+                 serialize_scx(cx).splitlines()]
+        assert [tuple(map(int, line[0].split())) for line in lines] == sorted(
+            maximal | set(cx.weights))
+        assert {tuple(map(int, line[0].split())): Fraction(line[1])
+                for line in lines if len(line) == 2} == cx.weights
+
+
 def test_parse_chn_basic():
     chain = parse_chn("1 0 1\n-2 1 2\n1/2 0 2\n")
     assert chain == {(0, 1): 1, (1, 2): -2, (0, 2): Fraction(1, 2)}
