@@ -15,10 +15,10 @@ from .ohcp import (LinearProgram, LPResult, LPSolution, OHCPInstance,
                    formulate, solve_ilp, solve_lp_exact, solve_ohcp_ilp,
                    solve_ohcp_lp, verify_homologous)
 from .pipeline import ContractionLog, GatePolicy, reduce, report, scan_edges
-from .tugraph import (B_EVEN, B_NEITHER, B_ODD, CircuitDomainError,
-                      IncidenceGraph, PreconditionError, b_parity,
-                      build_p_graph, classify_duals, construct_preimage_circuit,
-                      enumerate_chordless_cycles, enumerate_circuits,
-                      is_totally_unimodular, map_circuit_f)
+from .tugraph import (B_EVEN, B_ODD, CircuitDomainError, IncidenceGraph,
+                      PreconditionError, b_parity, build_p_graph,
+                      construct_preimage_circuit, enumerate_chordless_cycles,
+                      enumerate_circuits, is_totally_unimodular,
+                      map_circuit_f)
 
 __version__ = "0.1.0"

@@ -24,6 +24,8 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
+ORACLE_PAIR_BUDGET = 20_000     # default --budget of rel-torsion --mode oracle
+
 
 def _load_scx(path: str):
     return scxio.parse_scx(Path(path).read_text())
@@ -113,8 +115,10 @@ def cmd_tu_check(args) -> int:
 
 def cmd_rel_torsion(args) -> int:
     cx = _load_scx(args.complex)
-    verdict = has_relative_torsion(cx, args.p, mode=args.mode,
-                                   budget=args.budget)
+    budget = args.budget
+    if budget is None and args.mode == "oracle":
+        budget = ORACLE_PAIR_BUDGET
+    verdict = has_relative_torsion(cx, args.p, mode=args.mode, budget=budget)
     payload = {"has_relative_torsion": verdict.status, "mode": verdict.mode}
     if verdict.witness is not None:
         payload["witness_L"] = scxio.serialize_scx(verdict.witness.L)
@@ -233,9 +237,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("complex")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--mode", choices=("oracle", "tu"), default="tu",
-                   help="oracle walks every pure pair, exponentially many: "
-                        "give it a --budget")
-    common(p, budget=True)
+                   help="oracle walks the pure pairs, exponentially many")
+    common(p)
+    p.add_argument("--budget", type=int, default=None,
+                   help="pure pairs for oracle (default "
+                        f"{ORACLE_PAIR_BUDGET}), search nodes for tu "
+                        "(default: no budget)")
     p.set_defaults(func=cmd_rel_torsion)
 
     p = sub.add_parser("ohcp", help="optimal homologous chain")

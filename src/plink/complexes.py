@@ -264,9 +264,6 @@ class EdgeContraction:
     simplex_map: Mapping[Simplex, Simplex]
     classification: Mapping[Simplex, SimplexFate]
 
-    def image(self, simplex: Simplex) -> Simplex:
-        return self.simplex_map[canon(simplex)]
-
 
 def _rename(simplex: Simplex, b: int, a: int) -> Simplex:
     return tuple(sorted(a if v == b else v for v in simplex))

@@ -259,6 +259,10 @@ def solve_ohcp_lp(instance: OHCPInstance) -> LPSolution:
 
 def solve_ohcp_ilp(instance: OHCPInstance,
                    budget: Optional[int] = None) -> LPSolution:
+    """Integral x and y make c = x - dy integral, so a chain with a
+    fractional coefficient is INFEASIBLE without branching."""
+    if any(Fraction(v).denominator != 1 for v in instance.chain.values()):
+        return LPSolution(status=INFEASIBLE)
     return _extract(instance, solve_ilp(formulate(instance), budget=budget))
 
 

@@ -14,11 +14,9 @@ from .homology import IntegerMatrix, Verdict, boundary_matrix, det_int
 
 B_EVEN = "b-even"
 B_ODD = "b-odd"
-B_NEITHER = "neither"
 
 # An edge of the bipartite graph is (row_label, col_label); a circuit is a
 # frozenset of such edges.
-Edge = tuple
 Circuit = frozenset
 
 
@@ -59,10 +57,6 @@ class IncidenceGraph:
     def vertices(self) -> tuple:
         return self.rows + self.cols
 
-    @property
-    def edges(self) -> list:
-        return sorted(self.weights)
-
     @classmethod
     def from_matrix(cls, matrix: Union[IntegerMatrix, list]) -> "IncidenceGraph":
         rows, cols, entries = _labelled(matrix)
@@ -85,27 +79,29 @@ def build_p_graph(complex: SimplicialComplex, p: int) -> IncidenceGraph:
 
 # -- circuits and b-parity --------------------------------------------------
 
+def _odd_vertices(edges) -> set:
+    """The vertices of odd degree in a set of edges."""
+    odd = set()
+    for e in edges:
+        odd ^= set(e)
+    return odd
+
+
 def check_circuit(graph: IncidenceGraph, circuit) -> None:
-    degrees = {}
     for e in circuit:
         if e not in graph.weights:
             raise InvalidArgument(f"edge {e} not in graph")
-        for v in e:
-            degrees[v] = degrees.get(v, 0) + 1
-    for v, d in degrees.items():
-        if d % 2:
-            raise InvalidArgument(f"vertex {v} has odd degree {d}")
+    odd = _odd_vertices(circuit)
+    if odd:
+        raise InvalidArgument(f"odd-degree vertices {sorted(odd, key=repr)}")
 
 
 def b_parity(graph: IncidenceGraph, circuit) -> str:
-    """b-even if the edge weights sum to 0 mod 4, b-odd if 2 mod 4."""
+    """b-even if the edge weights sum to 0 mod 4, else b-odd: a bipartite
+    circuit has an even number of +-1 weights, so they sum to 0 or 2 mod 4."""
     check_circuit(graph, circuit)
     total = sum(graph.weights[e] for e in circuit) % 4
-    if total == 0:
-        return B_EVEN
-    if total == 2:
-        return B_ODD
-    return B_NEITHER
+    return B_EVEN if total == 0 else B_ODD
 
 
 def enumerate_chordless_cycles(graph: IncidenceGraph,
@@ -152,10 +148,13 @@ def enumerate_chordless_cycles(graph: IncidenceGraph,
                 yield from extend([s, t], {s, t})
 
 
-def enumerate_circuits(graph: IncidenceGraph, limit: int = 1 << 20
-                       ) -> Iterator[Circuit]:
+MAX_CIRCUITS = 1 << 20
+
+
+def enumerate_circuits(graph: IncidenceGraph) -> Iterator[Circuit]:
     """Every nonempty element of the cycle space (all circuits), via GF(2)
-    combinations of fundamental cycles.  For small graphs only."""
+    combinations of fundamental cycles.  For small graphs only: raises when
+    there are more than MAX_CIRCUITS."""
     parent = {}
     parent_edge = {}
     seen = set()
@@ -192,7 +191,7 @@ def enumerate_circuits(graph: IncidenceGraph, limit: int = 1 << 20
         cyc.add(e)
         fundamentals.append(frozenset(cyc))
     k = len(fundamentals)
-    if (1 << k) - 1 > limit:
+    if (1 << k) - 1 > MAX_CIRCUITS:
         raise InvalidArgument(f"cycle space too large: 2^{k} circuits")
     for mask in range(1, 1 << k):
         acc: set = set()
@@ -264,52 +263,7 @@ def is_totally_unimodular(matrix: Union[IntegerMatrix, list],
     return Verdict(True, "circuit")
 
 
-# -- dual classification under a contraction --------------------------------
-
-MIRROR_EDGE = "mirror-edge"
-MIRROR_CONNECTION = "mirror-connection"
-COLLAPSING_EDGE = "collapsing-edge"
-PLAIN = "plain"
-
-
-@dataclass
-class DualClassification:
-    vertex_tags: dict              # simplex -> SimplexFate
-    edge_tags: dict                # (tau, sigma) -> (kind, partner or None)
-
-
-def _mirror_image(contraction: EdgeContraction, simplex):
-    """Partner of a simplex under the a<->b swap; identity off a and b."""
-    fate = contraction.classification[simplex]
-    if fate.kind == MIRROR:
-        return fate.partner
-    return simplex
-
-
-def classify_duals(contraction: EdgeContraction,
-                   graph: IncidenceGraph) -> DualClassification:
-    """Tag the dual vertices and edges of G_{p+1}(source) by how the
-    contraction treats the underlying simplices."""
-    cls = contraction.classification
-    for v in graph.vertices:
-        if v not in cls:
-            raise InvalidArgument(f"graph vertex {v} is not a source simplex")
-    vertex_tags = {v: cls[v] for v in graph.vertices}
-    edge_tags = {}
-    for (tau, sigma) in graph.weights:
-        ft, fs = cls[tau], cls[sigma]
-        if fs.kind == COLLAPSING and ft.kind == COLLAPSING:
-            edge_tags[(tau, sigma)] = (COLLAPSING_EDGE, None)
-        elif fs.kind == COLLAPSING and ft.kind == MIRROR:
-            edge_tags[(tau, sigma)] = (MIRROR_CONNECTION, (ft.partner, sigma))
-        elif fs.kind == MIRROR:
-            # the common injective face pairs with itself
-            edge_tags[(tau, sigma)] = (
-                MIRROR_EDGE, (_mirror_image(contraction, tau), fs.partner))
-        else:
-            edge_tags[(tau, sigma)] = (PLAIN, None)
-    return DualClassification(vertex_tags=vertex_tags, edge_tags=edge_tags)
-
+# -- circuit transport under a contraction ----------------------------------
 
 def _graph_dim(circuit) -> int:
     """p of the G_{p+1} graph a circuit lives in, from its column labels."""
@@ -346,11 +300,7 @@ def map_circuit_f(contraction: EdgeContraction, circuit) -> Circuit:
         if e in image:
             raise InvalidArgument(f"unexpected edge collision on {e}")
         image.add(e)
-    degrees = {}
-    for e in image:
-        for v in e:
-            degrees[v] = degrees.get(v, 0) + 1
-    if any(d % 2 for d in degrees.values()):
+    if _odd_vertices(image):
         raise InvalidArgument("image is not a circuit")
     return frozenset(image)
 
@@ -359,9 +309,9 @@ def construct_preimage_circuit(contraction: EdgeContraction,
                                target_circuit) -> Circuit:
     """Build a domain circuit whose image equals the given target circuit.
 
-    Starts from the full preimage subgraph and repairs it in four passes:
-    drop collapsing edges, push mirror edges to the surviving side, then
-    toggle mirror connections and single edges until all degrees are even.
+    Takes every preimage edge whose (p+1)-simplex is neither collapsing nor
+    the b side of a mirror pair, then joins each odd mirror pair of
+    p-simplices through its mirror connection (their common coface).
     """
     if not target_circuit:
         return frozenset()
@@ -373,72 +323,33 @@ def construct_preimage_circuit(contraction: EdgeContraction,
             f"edge ({a},{b}) does not satisfy the {p}-link condition")
     cls = contraction.classification
     gmap = contraction.simplex_map
-    target_edges = set(target_circuit)
+    target = frozenset(target_circuit)
 
-    # full preimage, collapsing edges already left out (Step I)
     S = set()
     for sigma in src.p_simplices(p + 1):
-        if cls[sigma].kind == COLLAPSING:
+        fate = cls[sigma]
+        if fate.kind == COLLAPSING or (fate.kind == MIRROR and b in sigma):
             continue
         for k in range(len(sigma)):
             tau = sigma[:k] + sigma[k + 1:]
-            if cls[tau].kind == COLLAPSING:
-                continue
-            if (gmap[tau], gmap[sigma]) in target_edges:
+            if (gmap[tau], gmap[sigma]) in target:
                 S.add((tau, sigma))
 
-    # Step II: push mirror edges whose (p+1)-simplex adjoins b to the a side
-    for (tau, sigma) in sorted(S):
-        if cls[sigma].kind == MIRROR and b in sigma:
-            mirror = (_mirror_image(contraction, tau), cls[sigma].partner)
-            S.discard((tau, sigma))
-            if mirror not in S:
-                S.add(mirror)
-
-    def degrees():
-        out = {}
-        for e in S:
-            for v in e:
-                out[v] = out.get(v, 0) + 1
-        return out
-
-    # Step III: for odd mirror p-vertex pairs, toggle their mirror connection
-    deg = degrees()
-    odd_taus = sorted(v for v, d in deg.items()
-                      if d % 2 and len(v) == p + 1 and cls[v].kind == MIRROR)
-    for tau1 in odd_taus:
+    odd = _odd_vertices(S)
+    for tau1 in sorted(v for v in odd
+                       if len(v) == p + 1 and cls[v].kind == MIRROR):
         tau2 = cls[tau1].partner
-        if tau1 > tau2 or deg.get(tau2, 0) % 2 == 0:
+        if tau1 > tau2 or tau2 not in odd:
             continue
         sigma = tuple(sorted(set(tau1) | set(tau2)))
         if sigma not in src.simplices:
             raise PreconditionError(
                 f"mirror connection coface {sigma} missing from source")
-        for e in ((tau1, sigma), (tau2, sigma)):
-            if e in S:
-                S.discard(e)
-            else:
-                S.add(e)
+        S |= {(tau1, sigma), (tau2, sigma)}
 
-    # Step IV: pair any remaining odd vertices across a shared single edge
-    deg = degrees()
-    for sigma in sorted(v for v, d in deg.items()
-                        if d % 2 and len(v) == p + 2):
-        for k in range(len(sigma)):
-            tau = sigma[:k] + sigma[k + 1:]
-            if deg.get(tau, 0) % 2 and cls[tau].kind != COLLAPSING:
-                e = (tau, sigma)
-                if e in S:
-                    S.discard(e)
-                else:
-                    S.add(e)
-                deg = degrees()
-                break
-
-    deg = degrees()
-    if any(d % 2 for d in deg.values()):
+    if _odd_vertices(S):
         raise InvalidArgument("preimage construction left odd degrees")
     circuit = frozenset(S)
-    if map_circuit_f(contraction, circuit) != frozenset(target_edges):
+    if map_circuit_f(contraction, circuit) != target:
         raise InvalidArgument("preimage circuit does not map onto the target")
     return circuit

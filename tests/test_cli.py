@@ -114,6 +114,24 @@ def test_rel_torsion_modes(mobius_path, annulus_path):
                  "--mode", "oracle"]) == EXIT_NEGATIVE
 
 
+def test_rel_torsion_oracle_has_default_budget(annulus_path, capsys):
+    # unbudgeted, the oracle walks annulus(4)'s pure pairs for minutes
+    start = time.perf_counter()
+    assert main(["rel-torsion", annulus_path, "--p", "1", "--mode", "oracle",
+                 "--json"]) == EXIT_INCONCLUSIVE
+    assert time.perf_counter() - start < 10.0
+    assert json.loads(capsys.readouterr().out)["has_relative_torsion"] is None
+
+
+def test_ohcp_integer_fractional_chain_is_infeasible(mobius_path, tmp_path,
+                                                     capsys):
+    chp = tmp_path / "half.chn"
+    chp.write_text("1/2 1 2\n-1/2 1 4\n-1/2 2 4\n")
+    assert main(["ohcp", mobius_path, str(chp), "--integer",
+                 "--json"]) == EXIT_NEGATIVE
+    assert json.loads(capsys.readouterr().out)["status"] == "infeasible"
+
+
 def test_ohcp_lp_and_ilp(tmp_path, capsys):
     cxp = tmp_path / "k.scx"
     chp = tmp_path / "c.chn"

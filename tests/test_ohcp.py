@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -259,6 +260,17 @@ def test_ohcp_checks_budget_exceeded_incumbent(monkeypatch):
     tamper_first_y(monkeypatch, inst.complex)
     with pytest.raises(InvalidArgument, match="certificate identity"):
         solve_ohcp_ilp(inst, budget=2)
+
+
+def test_ilp_fractional_chain_is_infeasible_at_once():
+    # integral x and y make c = x - dy integral; the LP still has an optimum
+    inst = OHCPInstance(complex=mobius(5), p=1,
+                        chain={(1, 2): F(1, 2), (1, 4): F(-1, 2),
+                               (2, 4): F(-1, 2)})
+    start = time.perf_counter()
+    assert solve_ohcp_ilp(inst).status == INFEASIBLE
+    assert time.perf_counter() - start < 1.0
+    assert solve_ohcp_lp(inst).status == OPTIMAL
 
 
 def test_chain_keys_must_be_canonical():

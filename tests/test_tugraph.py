@@ -4,15 +4,13 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from plink.complexes import (InvalidArgument, SimplicialComplex,
+from plink.complexes import (MIRROR, InvalidArgument, SimplicialComplex,
                              contract_edge)
 from plink.fixtures import (annulus, cone, fig_plink_right, mobius,
                             punctured_mobius, random_complex)
 from plink.homology import boundary_matrix
-from plink.tugraph import (B_EVEN, B_ODD, COLLAPSING_EDGE, MIRROR_CONNECTION,
-                           MIRROR_EDGE, PLAIN, CircuitDomainError,
-                           IncidenceGraph, PreconditionError, b_parity,
-                           build_p_graph, classify_duals,
+from plink.tugraph import (B_EVEN, B_ODD, CircuitDomainError, IncidenceGraph,
+                           PreconditionError, b_parity, build_p_graph,
                            construct_preimage_circuit, det_int,
                            enumerate_chordless_cycles, enumerate_circuits,
                            is_totally_unimodular, map_circuit_f)
@@ -129,6 +127,16 @@ def test_enumerate_circuits_cycle_space_size():
         b_parity(g, c)  # every element of the cycle space is a circuit
 
 
+@given(sign_matrix_st)
+def test_b_parity_is_even_or_odd(entries):
+    # a bipartite circuit has an even number of +-1 weights: 0 or 2 mod 4
+    g = IncidenceGraph.from_matrix(entries)
+    for c in itertools.islice(enumerate_circuits(g), 50):
+        total = sum(g.weights[e] for e in c) % 4
+        assert total in (0, 2)
+        assert b_parity(g, c) == (B_EVEN if total == 0 else B_ODD)
+
+
 def test_circuit_strategy_states():
     assert is_totally_unimodular(
         boundary_matrix(annulus(3), 2)).status is True
@@ -216,56 +224,97 @@ def test_tu_non_sign_entry_short_circuit():
     assert v.witness["det"] == 3
 
 
-# -- dual classification under contraction ------------------------------------
-
-def test_classify_duals_tags():
-    cx = fig_plink_right()
-    ct = contract_edge(cx, (0, 1))        # the ab edge
-    g = build_p_graph(cx, 2)
-    tags = classify_duals(ct, g)
-    kinds = {t for (t, _) in tags.edge_tags.values()}
-    assert {MIRROR_EDGE, MIRROR_CONNECTION, COLLAPSING_EDGE} <= kinds
-    # mirror-edge partners are symmetric
-    for e, (kind, partner) in tags.edge_tags.items():
-        if kind == MIRROR_EDGE:
-            assert tags.edge_tags[partner][0] == MIRROR_EDGE
-            assert tags.edge_tags[partner][1] == e
-
-
-def test_classify_duals_rejects_foreign_graph():
-    cx = fig_plink_right()
-    ct = contract_edge(cx, (0, 1))
-    other = build_p_graph(mobius(9), 2)
-    with pytest.raises(InvalidArgument):
-        classify_duals(ct, other)
-
-
 # -- circuit transport --------------------------------------------------------
 
+def b_side_mirrors_over(ct, circuit):
+    """b-side mirror (p+1)-simplices with a preimage edge over the circuit."""
+    p = len(next(iter(circuit))[0]) - 1
+    out = set()
+    for sigma in ct.source.p_simplices(p + 1):
+        if ct.classification[sigma].kind != MIRROR or ct.b not in sigma:
+            continue
+        for tau in itertools.combinations(sigma, p + 1):
+            if (ct.simplex_map[tau], ct.simplex_map[sigma]) in circuit:
+                out.add(sigma)
+    return out
+
+
+def round_trips(ct, p, circuits):
+    """Transport each target circuit back and forth; returns how many round
+    trips kept the circuit and its b-parity, and how many target circuits
+    lie over a b-side mirror (p+1)-simplex."""
+    gs = build_p_graph(ct.source, p + 1)
+    gt = build_p_graph(ct.target, p + 1)
+    trips = over_b_side = 0
+    for circuit in circuits:
+        pre = construct_preimage_circuit(ct, circuit)
+        assert map_circuit_f(ct, pre) == circuit
+        assert b_parity(gs, pre) == b_parity(gt, circuit)
+        # the preimage takes the a side of every mirror pair
+        assert not any(ct.classification[sigma].kind == MIRROR
+                       and ct.b in sigma for (_, sigma) in pre)
+        trips += 1
+        over_b_side += bool(b_side_mirrors_over(ct, circuit))
+    return trips, over_b_side
+
+
 def transport_cases():
-    for cx in (annulus(4), mobius(7), fig_plink_right(), punctured_mobius(15)):
+    """1-link-gated contractions of 2-complexes and of seeded 3-complexes."""
+    complexes = [annulus(4), mobius(7), fig_plink_right(), punctured_mobius(15)]
+    for seed in range(30):
+        rng = random.Random(seed)
+        complexes.append(random_complex(rng, n_vertices=rng.randint(5, 9),
+                                        max_dim=3))
+    for cx in complexes:
         for e in sorted(cx.edges):
             if not cx.satisfies_p_link(e, 1):
                 continue
             ct = contract_edge(cx, e)
             if ct.target.dim < 2:
                 continue
-            yield cx, ct
+            yield ct
 
 
 def test_map_circuit_round_trip_and_parity():
-    count = 0
-    for cx, ct in transport_cases():
-        gs = build_p_graph(cx, 2)
+    trips = over_b_side = 0
+    for ct in transport_cases():
         gt = build_p_graph(ct.target, 2)
-        for circuit in enumerate_chordless_cycles(gt, budget=5000):
-            if circuit is None:
-                break
-            pre = construct_preimage_circuit(ct, circuit)
-            assert map_circuit_f(ct, pre) == circuit
-            assert b_parity(gs, pre) == b_parity(gt, circuit)
-            count += 1
-    assert count >= 20
+        circuits = set(itertools.islice(enumerate_circuits(gt), 12))
+        circuits |= {c for c in enumerate_chordless_cycles(gt, budget=5000)
+                     if c is not None}
+        t, o = round_trips(ct, 1, circuits)
+        trips += t
+        over_b_side += o
+    assert trips >= 1000 and over_b_side >= 100
+
+
+def test_preimage_takes_a_side_of_mirror_tetrahedron():
+    # contracting (0, 3) folds the b-side triangle 134 onto 014
+    cx = SimplicialComplex.from_maximal([(0, 1, 3, 4), (0, 1, 5), (0, 4, 5)])
+    ct = contract_edge(cx, (0, 3))
+    assert cx.satisfies_p_link((0, 3), 1) and ct.b == 3
+    circuits = list(enumerate_chordless_cycles(build_p_graph(ct.target, 2)))
+    assert any(b_side_mirrors_over(ct, c) == {(1, 3, 4)} for c in circuits)
+    trips, over_b_side = round_trips(ct, 1, circuits)
+    assert trips >= 1 and over_b_side >= 1
+
+
+def test_transport_round_trips_at_p2():
+    # the suspension of a Moebius band: G_3 has b-odd and b-even circuits
+    band = mobius(5)
+    cx = SimplicialComplex.from_maximal(
+        [t + (apex,) for t in band.p_simplices(2) for apex in (5, 6)])
+    trips = 0
+    parities = set()
+    for e in sorted(cx.edges):
+        if not cx.satisfies_p_link(e, 2):
+            continue
+        ct = contract_edge(cx, e)
+        gt = build_p_graph(ct.target, 3)
+        circuits = list(enumerate_chordless_cycles(gt))
+        parities |= {b_parity(gt, c) for c in circuits}
+        trips += round_trips(ct, 2, circuits)[0]
+    assert trips >= 100 and parities == {B_EVEN, B_ODD}
 
 
 def test_map_circuit_rejects_collapsing_vertex():
