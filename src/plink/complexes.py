@@ -338,13 +338,13 @@ def push_chain(contraction: EdgeContraction, chain: Chain) -> Chain:
     """Transport a chain along the contraction's induced chain map.
 
     Collapsing simplices map to zero (dimension drops); mirror pairs merge
-    with coefficient addition after sign correction.
+    with coefficient addition after sign correction.  Every key must be a
+    canonical simplex of the source: a reordered key would lose its sign.
     """
     out: Chain = {}
     for s, coeff in chain.items():
-        s = canon(s)
         if s not in contraction.source.simplices:
-            raise InvalidArgument(f"chain mentions unknown simplex {s}")
+            raise InvalidArgument(f"{s} is not a canonical source simplex")
         fate = contraction.classification[s]
         if fate.kind == COLLAPSING:
             continue

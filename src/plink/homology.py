@@ -5,6 +5,7 @@ All arithmetic is exact over arbitrary-precision integers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Iterator, Optional, Union
 
 from .complexes import (InvalidArgument, Simplex, SimplicialComplex, canon,
@@ -50,54 +51,29 @@ def _boundary(rows: tuple, cols: tuple) -> IntegerMatrix:
 
 # -- Smith normal form ------------------------------------------------------
 
-@dataclass
-class SNFResult:
-    """U @ A @ V = D with D diagonal, divisibility chain d1 | d2 | ... | dr."""
-    diag: list       # positive invariant factors
-    rank: int
-    U: list          # m x m unimodular
-    V: list          # n x n unimodular
+def _smith(M: list, m: int, n: int) -> list:
+    """Reduce the leading m x n block of M in place to its Smith normal form
+    U B V = D (minimal-|pivot| pivoting); return the invariant factors.
 
-
-def _identity(n: int) -> list:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def smith_normal_form(entries: list) -> SNFResult:
-    """Smith normal form by exact integer reduction, minimal-|pivot| pivoting."""
-    A = [list(row) for row in entries]
-    m = len(A)
-    n = len(A[0]) if m else 0
-    U = _identity(m)
-    V = _identity(n)
-
+    Row operations act on whole rows 0..m-1 and column operations on whole
+    columns 0..n-1, so passenger columns past n come out multiplied by U and
+    passenger rows past m multiplied by V."""
     def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
+        M[i], M[j] = M[j], M[i]
 
     def swap_cols(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
+        for row in M:
             row[i], row[j] = row[j], row[i]
 
     def add_row(dst, src, q):      # row_dst += q * row_src
-        Ad, As = A[dst], A[src]
-        for k in range(n):
-            Ad[k] += q * As[k]
-        Ud, Us = U[dst], U[src]
-        for k in range(m):
-            Ud[k] += q * Us[k]
+        M[dst] = [a + q * b for a, b in zip(M[dst], M[src])]
 
     def add_col(dst, src, q):      # col_dst += q * col_src
-        for row in A:
-            row[dst] += q * row[src]
-        for row in V:
+        for row in M:
             row[dst] += q * row[src]
 
     def negate_row(i):
-        A[i] = [-x for x in A[i]]
-        U[i] = [-x for x in U[i]]
+        M[i] = [-x for x in M[i]]
 
     t = 0
     while t < min(m, n):
@@ -106,7 +82,7 @@ def smith_normal_form(entries: list) -> SNFResult:
         best = None
         for i in range(t, m):
             for j in range(t, n):
-                v = abs(A[i][j])
+                v = abs(M[i][j])
                 if v and (best is None or v < best):
                     best, pivot = v, (i, j)
         if pivot is None:
@@ -120,17 +96,17 @@ def smith_normal_form(entries: list) -> SNFResult:
         while True:
             done = True
             for i in range(t + 1, m):
-                if A[i][t]:
-                    q = A[i][t] // A[t][t]
+                if M[i][t]:
+                    q = M[i][t] // M[t][t]
                     add_row(i, t, -q)
-                    if A[i][t]:
+                    if M[i][t]:
                         swap_rows(t, i)
                         done = False
             for j in range(t + 1, n):
-                if A[t][j]:
-                    q = A[t][j] // A[t][t]
+                if M[t][j]:
+                    q = M[t][j] // M[t][t]
                     add_col(j, t, -q)
-                    if A[t][j]:
+                    if M[t][j]:
                         swap_cols(t, j)
                         done = False
             if done:
@@ -139,7 +115,7 @@ def smith_normal_form(entries: list) -> SNFResult:
         bad = None
         for i in range(t + 1, m):
             for j in range(t + 1, n):
-                if A[i][j] % A[t][t]:
+                if M[i][j] % M[t][t]:
                     bad = i
                     break
             if bad is not None:
@@ -147,12 +123,39 @@ def smith_normal_form(entries: list) -> SNFResult:
         if bad is not None:
             add_row(t, bad, 1)
             continue
-        if A[t][t] < 0:
+        if M[t][t] < 0:
             negate_row(t)
         t += 1
+    return [M[i][i] for i in range(t)]
 
-    diag = [A[i][i] for i in range(min(m, n)) if A[i][i]]
-    return SNFResult(diag=diag, rank=len(diag), U=U, V=V)
+
+def smith_normal_form(entries: list) -> list:
+    """Invariant factors d1 | d2 | ... | dr of an integer matrix, all
+    positive; r is its rank."""
+    m = len(entries)
+    return _smith([list(row) for row in entries], m,
+                  len(entries[0]) if m else 0)
+
+
+def snf_solve(entries: list, d: list) -> Optional[list]:
+    """A solution y of B y = d (B = entries, integral; d rational), or None
+    when there is no rational one.
+
+    The Smith normal form U B V = D carries d as a passenger column and the
+    identity as passenger rows, so it yields U d and V.  Then y = V z with
+    z_i = (U d)_i / D_ii, and z_i = 0 past the rank.  V is unimodular, so y
+    is integral iff B y = d has an integral solution."""
+    m = len(entries)
+    n = len(entries[0]) if m else 0
+    if len(d) != m:
+        raise InvalidArgument(f"d has {len(d)} entries for {m} rows")
+    M = [list(row) + [v] for row, v in zip(entries, d)]
+    M += [[int(i == j) for j in range(n)] for i in range(n)]
+    diag = _smith(M, m, n)
+    if any(M[i][n] for i in range(len(diag), m)):
+        return None
+    z = [Fraction(M[i][n], f) for i, f in enumerate(diag)]
+    return [sum(v * zi for v, zi in zip(M[m + j], z)) for j in range(n)]
 
 
 # -- fraction-free (Bareiss) elimination -------------------------------------
@@ -229,7 +232,7 @@ def _homology(n_p: int, d_p: list, d_next: list) -> HomologyGroup:
     [d_{p+1}] (an empty list for a zero map): the betti number is
     n_p - rank d_p - rank d_{p+1}, the torsion the invariant factors of
     d_{p+1} above 1."""
-    diag = smith_normal_form(d_next).diag
+    diag = smith_normal_form(d_next)
     return HomologyGroup(betti=n_p - matrix_rank(d_p) - len(diag),
                          torsion_coeffs=[d for d in diag if d > 1])
 
@@ -374,6 +377,7 @@ def has_relative_torsion(complex: SimplicialComplex, p: int,
         if isinstance(pair, Truncated):
             return Verdict(None, "oracle", budget_used=used)
         used += 1
-        if relative_homology_group(pair).torsion_coeffs:
+        factors = smith_normal_form(relative_boundary_matrix(pair).entries)
+        if any(f > 1 for f in factors):
             return Verdict(True, "oracle", witness=pair, budget_used=used)
     return Verdict(False, "oracle", budget_used=used)

@@ -7,13 +7,13 @@ anti-cycling rule, so optima like 17/40 are certified exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
 from .complexes import (Chain, InvalidArgument, SimplicialComplex, canon,
                         chain_boundary)
-from .homology import boundary_matrix, smith_normal_form
+from .homology import boundary_matrix, snf_solve
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -123,8 +123,11 @@ def solve_ilp(lp: LinearProgram, budget: Optional[int] = None) -> LPResult:
 
     A node is an LP: its parent plus one bound row (``_bounded``).  Branches
     on the most fractional variable, ties by lowest index; depth first, floor
-    branch first.  A node whose relaxation is infeasible or unbounded is
-    pruned, so an unbounded relaxation reads INFEASIBLE.  budget caps the
+    branch first.  A node whose relaxation is infeasible is pruned.  Only
+    the root can be unbounded, since a child of a bounded LP is bounded; then
+    the ILP is unbounded iff it has an integral point (Meyer's theorem for
+    rational data), so the same search on a zero objective, with the budget
+    left, decides UNBOUNDED, INFEASIBLE or BUDGET_EXCEEDED.  budget caps the
     number of LP solves.
     """
     n = len(lp.objective)
@@ -135,6 +138,10 @@ def solve_ilp(lp: LinearProgram, budget: Optional[int] = None) -> LPResult:
         node = stack.pop()
         solves += 1
         res = solve_lp_exact(node)
+        if res.status == UNBOUNDED:
+            left = None if budget is None else budget - solves
+            point = solve_ilp(replace(lp, objective=[Fraction(0)] * n), left)
+            return point if point.values is None else LPResult(UNBOUNDED)
         if res.status != OPTIMAL:
             continue
         if incumbent is not None and res.objective >= incumbent.objective:
@@ -274,8 +281,8 @@ def verify_homologous(complex: SimplicialComplex, p: int, c: Chain, x: Chain,
 
     Returns (True, y) with the certificate chain, or (False, None).
     coefficients="integer" demands an integer certificate (int coefficients),
-    "rational" allows Fractions.  Both solve B y = x - c through the Smith
-    normal form U B V = D: D z = U (x - c) is diagonal, and y = V z.
+    "rational" allows Fractions.  Both solve B y = x - c with ``snf_solve``,
+    whose y is integral iff an integral solution exists.
     """
     if coefficients not in ("integer", "rational"):
         raise InvalidArgument(f"unknown coefficient mode {coefficients!r}")
@@ -285,24 +292,10 @@ def verify_homologous(complex: SimplicialComplex, p: int, c: Chain, x: Chain,
          for s in complex.p_simplices(p)]
     if p >= complex.dim:
         return (True, {}) if not any(d) else (False, None)
-    integer = coefficients == "integer"
-    if integer:
-        if any(v.denominator != 1 for v in d):
-            return (False, None)
-        d = [int(v) for v in d]
     bm = boundary_matrix(complex, p + 1)
-    snf = smith_normal_form(bm.entries)
-    z = [0] * len(bm.cols)
-    for i, row in enumerate(snf.U):
-        ud = sum(u * v for u, v in zip(row, d))
-        if i >= snf.rank:
-            if ud:
-                return (False, None)
-        elif integer:
-            if ud % snf.diag[i]:
-                return (False, None)
-            z[i] = ud // snf.diag[i]
-        else:
-            z[i] = Fraction(ud, snf.diag[i])
-    y = [sum(v * zj for v, zj in zip(row, z)) for row in snf.V]
+    y = snf_solve(bm.entries, d)
+    if coefficients == "integer" and y is not None:
+        y = [int(v) for v in y] if all(v.denominator == 1 for v in y) else None
+    if y is None:
+        return (False, None)
     return (True, {s: y[j] for j, s in enumerate(bm.cols) if y[j]})

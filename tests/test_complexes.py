@@ -295,6 +295,11 @@ def test_push_chain_rejects_foreign_simplices():
     ct = contract_edge(cx, (0, 1))
     with pytest.raises(InvalidArgument):
         push_chain(ct, {(5, 6): 1})
+    # a reordered key would lose its sign: chain_boundary reads (2, 1) as
+    # -(1, 2)
+    ct = contract_edge(mobius(5), (0, 1))
+    with pytest.raises(InvalidArgument):
+        push_chain(ct, {(2, 1): 1})
 
 
 def test_push_chain_mirror_merge():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,11 +7,12 @@ from hypothesis import given, settings, strategies as st
 from plink.complexes import InvalidArgument, SimplicialComplex
 from plink.fixtures import (annulus, cone, mobius, mobius_boundary,
                             punctured_mobius, random_complex)
-from plink.homology import (SubcomplexPair, TRUNCATED, boundary_matrix,
-                            enumerate_pure_pairs, has_relative_torsion,
-                            homology_group, is_pure, matrix_rank,
-                            relative_boundary_matrix, relative_homology_group,
-                            smith_normal_form)
+from plink.homology import (SubcomplexPair, TRUNCATED, _smith,
+                            boundary_matrix, enumerate_pure_pairs,
+                            has_relative_torsion, homology_group, is_pure,
+                            matrix_rank, relative_boundary_matrix,
+                            relative_homology_group, smith_normal_form,
+                            snf_solve)
 
 
 def matmul(A, B):
@@ -21,7 +23,6 @@ def matmul(A, B):
 def det(a):
     a = [list(r) for r in a]
     n = len(a)
-    from fractions import Fraction
     a = [[Fraction(v) for v in r] for r in a]
     sign = 1
     for k in range(n):
@@ -50,28 +51,37 @@ int_matrix_st = st.integers(0, 4).flatmap(
 
 # -- Smith normal form --------------------------------------------------------
 
+def identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
 @given(int_matrix_st)
 def test_snf_diagonalizes_with_unimodular_transforms(A):
     if not A or not A[0]:
         return
-    snf = smith_normal_form(A)
     m, n = len(A), len(A[0])
-    D = matmul(matmul(snf.U, A), snf.V)
+    # identity passengers come out as U (columns past n) and V (rows past m)
+    M = [row + e for row, e in zip(A, identity(m))] + identity(n)
+    diag = _smith(M, m, n)
+    U = [row[n:] for row in M[:m]]
+    V = M[m:]
+    D = matmul(matmul(U, A), V)
     for i in range(m):
         for j in range(n):
-            if i == j and i < len(snf.diag):
-                assert D[i][j] == snf.diag[i]
+            if i == j and i < len(diag):
+                assert D[i][j] == diag[i]
             else:
                 assert D[i][j] == 0
-    assert abs(det(snf.U)) == 1
-    assert abs(det(snf.V)) == 1
+    assert [row[:n] for row in M[:m]] == D
+    assert abs(det(U)) == 1
+    assert abs(det(V)) == 1
 
 
 @given(int_matrix_st)
 def test_snf_divisibility_chain(A):
     if not A or not A[0]:
         return
-    diag = smith_normal_form(A).diag
+    diag = smith_normal_form(A)
     assert all(d > 0 for d in diag)
     for a, b in zip(diag, diag[1:]):
         assert b % a == 0
@@ -79,8 +89,8 @@ def test_snf_divisibility_chain(A):
 
 def test_snf_known_small_case():
     # [[2, 0], [0, 3]] has invariant factors 1, 6
-    assert smith_normal_form([[2, 0], [0, 3]]).diag == [1, 6]
-    assert smith_normal_form([[2, 4], [6, 8]]).diag == [2, 4]
+    assert smith_normal_form([[2, 0], [0, 3]]) == [1, 6]
+    assert smith_normal_form([[2, 4], [6, 8]]) == [2, 4]
 
 
 def test_matrix_rank_matches_field_rank():
@@ -102,7 +112,7 @@ def sympy_matrix(sympy, A):
 @given(int_matrix_st)
 def test_matrix_rank_matches_snf_rank(A):
     # the full Smith normal form stays the slow reference for the rank
-    assert matrix_rank(A) == smith_normal_form(A).rank
+    assert matrix_rank(A) == len(smith_normal_form(A))
 
 
 @given(int_matrix_st)
@@ -114,7 +124,44 @@ def test_matrix_rank_matches_sympy(sympy, A):
 def test_snf_diag_matches_sympy_invariant_factors(sympy, A):
     from sympy.matrices.normalforms import invariant_factors
     ref = invariant_factors(sympy_matrix(sympy, A), domain=sympy.ZZ)
-    assert smith_normal_form(A).diag == [int(d) for d in ref if d]
+    assert smith_normal_form(A) == [int(d) for d in ref if d]
+
+
+matrix_rhs_st = int_matrix_st.flatmap(lambda B: st.tuples(
+    st.just(B), st.lists(st.integers(-6, 6), min_size=len(B),
+                         max_size=len(B))))
+
+
+@given(matrix_rhs_st)
+def test_snf_solve_matches_rank_test(case):
+    B, d = case
+    y = snf_solve(B, d)
+    Bd = [row + [v] for row, v in zip(B, d)]
+    assert (y is None) == (matrix_rank(Bd) > matrix_rank(B))
+    if y is not None:
+        assert [sum(b * v for b, v in zip(row, y)) for row in B] == d
+
+
+@given(matrix_rhs_st)
+def test_snf_solve_integral_iff_invariant_factors_agree(sympy, case):
+    from sympy.matrices.normalforms import invariant_factors
+    B, d = case
+    y = snf_solve(B, d)
+    if y is None:
+        return
+
+    def factors(A):
+        return [f for f in invariant_factors(sympy_matrix(sympy, A),
+                                             domain=sympy.ZZ) if f]
+
+    Bd = [row + [v] for row, v in zip(B, d)]
+    integral = all(Fraction(v).denominator == 1 for v in y)
+    assert integral == (not B or factors(B) == factors(Bd))
+
+
+def test_snf_solve_rejects_mismatched_rhs():
+    with pytest.raises(InvalidArgument):
+        snf_solve([[1, 2]], [1, 2])
 
 
 # -- boundary matrices --------------------------------------------------------
@@ -275,3 +322,29 @@ def test_has_relative_torsion_tu_mode():
     assert has_relative_torsion(mobius(5), 1, mode="tu").status is True
     cx = SimplicialComplex.from_maximal([(0, 1, 2), (1, 2, 3)])
     assert has_relative_torsion(cx, 1, mode="tu").status is False
+
+
+def test_torsion_oracle_matches_relative_homology_loop():
+    # the reference walks the pairs itself and reads each pair's torsion off
+    # relative_homology_group, the path the oracle no longer takes
+    r = random.Random(77)
+    cases = [(mobius(5), 1, None)]      # its witness is pair 5,328
+    for _ in range(40):
+        cx = random_complex(r, n_vertices=6, max_dim=3, n_generators=4)
+        cases += [(cx, p, r.choice([3, 60, 400])) for p in range(cx.dim)]
+    seen = set()
+    for cx, p, budget in cases:
+        expect = (False, None)
+        used = 0
+        for pair in enumerate_pure_pairs(cx, p, budget=budget):
+            if pair is TRUNCATED:
+                expect = (None, None)
+                break
+            used += 1
+            if relative_homology_group(pair).torsion_coeffs:
+                expect = (True, pair)
+                break
+        v = has_relative_torsion(cx, p, mode="oracle", budget=budget)
+        assert (v.status, v.witness, v.budget_used) == (*expect, used)
+        seen.add(v.status)
+    assert seen == {True, False, None}
