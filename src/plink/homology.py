@@ -160,14 +160,13 @@ def snf_solve(entries: list, d: list) -> Optional[list]:
 
 # -- fraction-free (Bareiss) elimination -------------------------------------
 
-def _bareiss_step(a: list, k: int, c: int, prev: int) -> int:
-    """Eliminate column c below the nonzero pivot a[k][c]: each entry of
-    rows k+1.. and columns c+1.. becomes a minor, divided exactly by the
-    previous pivot prev (Bareiss 1968).  Returns the new pivot."""
+def bareiss_step(a: list, k: int, c: int, prev: int, rows, cols) -> int:
+    """Eliminate column c with the nonzero pivot a[k][c]: each entry of the
+    given rows and columns becomes a minor, divided exactly by the previous
+    pivot prev (Bareiss 1968).  Returns the new pivot."""
     rk = a[k]
     piv = rk[c]
-    cols = range(c + 1, len(rk))
-    for i in range(k + 1, len(a)):
+    for i in rows:
         ri = a[i]
         f = ri[c]
         for j in cols:
@@ -191,7 +190,7 @@ def det_int(mat: list) -> int:
                     break
             else:
                 return 0
-        prev = _bareiss_step(a, k, k, prev)
+        prev = bareiss_step(a, k, k, prev, range(k + 1, n), range(k + 1, n))
     return sign * prev
 
 
@@ -208,7 +207,8 @@ def matrix_rank(entries: list) -> int:
         else:
             continue
         a[rank], a[i] = a[i], a[rank]
-        prev = _bareiss_step(a, rank, c, prev)
+        prev = bareiss_step(a, rank, c, prev, range(rank + 1, m),
+                            range(c + 1, len(a[rank])))
         rank += 1
         if rank == m:
             break
@@ -319,8 +319,9 @@ def enumerate_pure_pairs(complex: SimplicialComplex, p: int,
     """All pairs (L, L0): L spanned by a nonempty set of (p+1)-simplices of the
     complex, L0 by a nonempty subset of the p-simplices of L.  Deterministic
     order; yields TRUNCATED if the budget runs out."""
-    if complex.dim <= p:
-        raise InvalidArgument(f"complex dimension must exceed p={p}")
+    if not 0 <= p < complex.dim:
+        raise InvalidArgument(f"p={p} out of range: pure pairs need "
+                              f"0 <= p < dim {complex.dim}")
     count = 0
     tops = complex.p_simplices(p + 1)
     for top_subset in _nonempty_subsets(tops):
@@ -364,6 +365,9 @@ def has_relative_torsion(complex: SimplicialComplex, p: int,
     circuit total-unimodularity test of the (p+1)-boundary matrix (the budget
     caps its search nodes, and there is no witness).
     """
+    if not 0 <= p < complex.dim:
+        raise InvalidArgument(f"p={p} out of range: relative torsion needs "
+                              f"0 <= p < dim {complex.dim}")
     if mode == "tu":
         from .tugraph import is_totally_unimodular
         tu = is_totally_unimodular(boundary_matrix(complex, p + 1),

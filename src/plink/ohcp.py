@@ -1,8 +1,8 @@
 """Optimal homologous chain instances solved by exact rational linear
 programming, with a branch-and-bound integer fallback.
 
-No floating point anywhere: the simplex method runs on Fractions with Bland's
-anti-cycling rule, so optima like 17/40 are certified exactly.
+No floating point anywhere: the simplex pivots an integer tableau over one
+common denominator with Bland's rule, so optima like 17/40 are exact.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from typing import Optional
 
 from .complexes import (Chain, InvalidArgument, SimplicialComplex, canon,
                         chain_boundary)
-from .homology import boundary_matrix, snf_solve
+from .homology import bareiss_step, boundary_matrix, snf_solve
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -24,9 +24,18 @@ BUDGET_EXCEEDED = "budget-exceeded"
 @dataclass
 class LinearProgram:
     """min objective . z  subject to  rows . z = rhs,  z >= 0."""
-    objective: list                 # Fractions, length N
-    rows: list                      # list of lists of Fractions
-    rhs: list                       # Fractions, length m
+    objective: list                 # ints or Fractions, length N
+    rows: list                      # m lists of ints or Fractions, length N
+    rhs: list                       # ints or Fractions, length m
+
+    def __post_init__(self):
+        if len(self.rows) != len(self.rhs):
+            raise InvalidArgument(f"{len(self.rows)} rows for "
+                                  f"{len(self.rhs)} rhs entries")
+        for row in self.rows:
+            if len(row) != len(self.objective):
+                raise InvalidArgument(f"a row of {len(row)} entries for "
+                                      f"{len(self.objective)} costs")
 
 
 @dataclass
@@ -36,34 +45,46 @@ class LPResult:
     objective: Optional[Fraction] = None
 
 
+def _integral(values: list, factor: int) -> list:
+    """The ints factor * v; factor is a multiple of each v's denominator."""
+    return [v.numerator * (factor // v.denominator) for v in values]
+
+
 def solve_lp_exact(lp: LinearProgram) -> LPResult:
     """Two-phase primal simplex over exact rationals, Bland's rule.
 
     Below the m constraint rows the tableau holds the phase-2 and then the
     phase-1 objective row: reduced costs, and minus the objective value in
     the last cell.  Pivots update them like every other row.
+
+    The tableau is fraction-free: d times the rational one, d > 0 the last
+    pivot, and a pivot is one Bareiss step on every other row (Edmonds
+    1967).  A common factor of the constraint rows (artificials stay 1) and
+    one of the costs only rescale variables and costs: the pivots stay.
     """
     m = len(lp.rows)
     n = len(lp.objective)
+    scale = math.lcm(*(v.denominator for r in lp.rows + [lp.rhs] for v in r))
+    cost_scale = math.lcm(*(v.denominator for v in lp.objective))
     T = []
     for i, (row, b) in enumerate(zip(lp.rows, lp.rhs)):
-        sign = -1 if b < 0 else 1
-        T.append([sign * Fraction(v) for v in row]
-                 + [Fraction(int(k == i)) for k in range(m)]
-                 + [sign * Fraction(b)])
+        f = -scale if b < 0 else scale
+        T.append(_integral(row, f) + [int(k == i) for k in range(m)]
+                 + _integral([b], f))
     basis = [n + i for i in range(m)]
-    T.append([Fraction(c) for c in lp.objective] + [Fraction(0)] * (m + 1))
+    T.append(_integral(lp.objective, cost_scale) + [0] * (m + 1))
     # phase 1 minimises the sum of the artificials, priced out of the basis
     T.append([-sum(row[j] for row in T[:m]) for j in range(n)]
-             + [Fraction(0)] * m + [-sum(row[-1] for row in T[:m])])
+             + [0] * m + [-sum(row[-1] for row in T[:m])])
+    d = 1
 
     def pivot(ri, cj):
-        piv = T[ri][cj]
-        T[ri] = [v / piv for v in T[ri]]
-        for i in range(len(T)):
-            if i != ri and T[i][cj]:
-                f = T[i][cj]
-                T[i] = [a - f * b for a, b in zip(T[i], T[ri])]
+        nonlocal d
+        others = [i for i in range(len(T)) if i != ri]
+        d = bareiss_step(T, ri, cj, d, others, range(len(T[ri])))
+        if d < 0:       # only while artificials are driven out
+            T[:] = [[-v for v in row] for row in T]
+            d = -d
         basis[ri] = cj
 
     def optimize(ncols):
@@ -72,16 +93,16 @@ def solve_lp_exact(lp: LinearProgram) -> LPResult:
             entering = next((j for j in range(ncols) if T[-1][j] < 0), None)
             if entering is None:
                 return True
-            leaving = None
-            best = None
-            for i in range(len(basis)):
-                if T[i][entering] > 0:
-                    ratio = T[i][-1] / T[i][entering]
-                    if (best is None or ratio < best
-                            or (ratio == best and basis[i] < basis[leaving])):
-                        best, leaving = ratio, i
-            if leaving is None:
+            rows = [i for i in range(len(basis)) if T[i][entering] > 0]
+            if not rows:
                 return False
+            leaving = rows[0]
+            for i in rows[1:]:
+                # the ratios T[i][-1] / T[i][entering], cross-multiplied
+                cross = (T[i][-1] * T[leaving][entering]
+                         - T[leaving][-1] * T[i][entering])
+                if cross < 0 or (cross == 0 and basis[i] < basis[leaving]):
+                    leaving = i
             pivot(leaving, entering)
 
     optimize(n + m)
@@ -103,19 +124,20 @@ def solve_lp_exact(lp: LinearProgram) -> LPResult:
         return LPResult(status=UNBOUNDED)
     values = [Fraction(0)] * n
     for i, j in enumerate(basis):
-        values[j] = T[i][-1]
-    return LPResult(status=OPTIMAL, values=values, objective=-T[-1][-1])
+        values[j] = Fraction(T[i][-1], d)
+    return LPResult(status=OPTIMAL, values=values,
+                    objective=Fraction(-T[-1][-1], d * cost_scale))
 
 
 def _bounded(lp: LinearProgram, var: int, sense: int,
              val: int) -> LinearProgram:
     """lp plus one row z[var] + sense * slack = val with a new slack column:
     sense 1 bounds z[var] <= val, sense -1 bounds z[var] >= val."""
-    row = [Fraction(0)] * len(lp.objective) + [Fraction(sense)]
-    row[var] = Fraction(1)
-    return LinearProgram(objective=lp.objective + [Fraction(0)],
-                         rows=[r + [Fraction(0)] for r in lp.rows] + [row],
-                         rhs=lp.rhs + [Fraction(val)])
+    row = [0] * len(lp.objective) + [sense]
+    row[var] = 1
+    return LinearProgram(objective=lp.objective + [0],
+                         rows=[r + [0] for r in lp.rows] + [row],
+                         rhs=lp.rhs + [val])
 
 
 def solve_ilp(lp: LinearProgram, budget: Optional[int] = None) -> LPResult:
@@ -140,20 +162,16 @@ def solve_ilp(lp: LinearProgram, budget: Optional[int] = None) -> LPResult:
         res = solve_lp_exact(node)
         if res.status == UNBOUNDED:
             left = None if budget is None else budget - solves
-            point = solve_ilp(replace(lp, objective=[Fraction(0)] * n), left)
+            point = solve_ilp(replace(lp, objective=[0] * n), left)
             return point if point.values is None else LPResult(UNBOUNDED)
         if res.status != OPTIMAL:
             continue
         if incumbent is not None and res.objective >= incumbent.objective:
             continue
         values = res.values[:n]
-        frac_var = None
-        best_dist = Fraction(0)
-        for j, v in enumerate(values):
-            dist = abs(v - Fraction(round(v)))
-            if dist > best_dist:
-                best_dist, frac_var = dist, j
-        if frac_var is None:
+        dists = [abs(v - round(v)) for v in values]
+        frac_var = max(range(n), key=dists.__getitem__, default=None)
+        if frac_var is None or not dists[frac_var]:
             incumbent = LPResult(status=OPTIMAL, values=values,
                                  objective=res.objective)
             continue
@@ -214,27 +232,18 @@ def _layout(instance: OHCPInstance) -> tuple:
 
 def formulate(instance: OHCPInstance) -> LinearProgram:
     """Standard-form LP: split x and y into nonnegative parts, one equality
-    row per p-simplex."""
+    row [e_i, -e_i, -d_i, d_i] per p-simplex, d_i its row of [d_{p+1}]."""
     p_simplices, q_simplices = _layout(instance)
-    np_, nq = len(p_simplices), len(q_simplices)
-    if nq:
-        bm = boundary_matrix(instance.complex, instance.p + 1)
-    weights = [instance.complex.weight(s) for s in p_simplices]
-    obj = weights + weights + [Fraction(0)] * (2 * nq)
+    bm = (boundary_matrix(instance.complex, instance.p + 1).entries
+          if q_simplices else [[] for _ in p_simplices])
     rows = []
-    rhs = []
-    for i, s in enumerate(p_simplices):
-        row = [Fraction(0)] * (2 * np_ + 2 * nq)
-        row[i] = Fraction(1)
-        row[np_ + i] = Fraction(-1)
-        for j in range(nq):
-            bij = bm.entries[i][j]
-            if bij:
-                row[2 * np_ + j] = Fraction(-bij)
-                row[2 * np_ + nq + j] = Fraction(bij)
-        rows.append(row)
-        rhs.append(Fraction(instance.chain.get(s, 0)))
-    return LinearProgram(objective=obj, rows=rows, rhs=rhs)
+    for i, d_i in enumerate(bm):
+        e_i = [int(k == i) for k in range(len(p_simplices))]
+        rows.append(e_i + [-v for v in e_i] + [-v for v in d_i] + d_i)
+    weights = [instance.complex.weight(s) for s in p_simplices]
+    return LinearProgram(
+        objective=weights + weights + [0] * (2 * len(q_simplices)),
+        rows=rows, rhs=[instance.chain.get(s, 0) for s in p_simplices])
 
 
 def _extract(instance: OHCPInstance, res: LPResult) -> LPSolution:

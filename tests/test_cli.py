@@ -114,6 +114,13 @@ def test_rel_torsion_modes(mobius_path, annulus_path):
                  "--mode", "oracle"]) == EXIT_NEGATIVE
 
 
+def test_rel_torsion_rejects_negative_p(mobius_path, capsys):
+    for mode in ("oracle", "tu"):
+        assert main(["rel-torsion", mobius_path, "--p", "-1",
+                     "--mode", mode]) == EXIT_USAGE
+        assert "p=-1 out of range" in capsys.readouterr().err
+
+
 def test_rel_torsion_oracle_has_default_budget(annulus_path, capsys):
     # unbudgeted, the oracle walks annulus(4)'s pure pairs for minutes
     start = time.perf_counter()

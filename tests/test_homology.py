@@ -324,6 +324,17 @@ def test_has_relative_torsion_tu_mode():
     assert has_relative_torsion(cx, 1, mode="tu").status is False
 
 
+def test_relative_torsion_rejects_p_out_of_range():
+    # p = -1 once read False in oracle mode; tu mode named p + 1 = 0
+    cx = mobius(5)
+    for p in (-1, 2):
+        for mode in ("oracle", "tu"):
+            with pytest.raises(InvalidArgument, match=f"p={p} out of range"):
+                has_relative_torsion(cx, p, mode=mode)
+        with pytest.raises(InvalidArgument, match=f"p={p} out of range"):
+            next(enumerate_pure_pairs(cx, p))
+
+
 def test_torsion_oracle_matches_relative_homology_loop():
     # the reference walks the pairs itself and reads each pair's torsion off
     # relative_homology_group, the path the oracle no longer takes

@@ -70,6 +70,18 @@ def test_lp_redundant_rows():
     assert res.objective == 1
 
 
+def test_ragged_lp_is_rejected():
+    # each once read INFEASIBLE or OPTIMAL, silently dropping data
+    shapes = [([1, 1], [[1, 1], [1, 0]], [1]),        # 2 rows, 1 rhs entry
+              ([1, 1], [[1, 1]], [1, 2]),             # 1 row, 2 rhs entries
+              ([1, 1], [[1, 1, 5]], [1]),             # 3 entries, 2 costs
+              ([1, 1, 1], [[1, 1], [1, 0]], [1, 1])]  # 2 entries, 3 costs
+    for solve in (solve_lp_exact, solve_ilp):
+        for obj, rows, rhs in shapes:
+            with pytest.raises(InvalidArgument):
+                solve(lp(obj, rows, rhs))
+
+
 @given(st.integers(0, 2000))
 def test_lp_solution_is_feasible(seed):
     r = random.Random(seed)
@@ -118,15 +130,19 @@ def basic_feasible_solutions(rows, rhs, n):
 
 
 @st.composite
-def small_lps(draw, entries=st.integers(-3, 3), values=st.integers(-3, 3)):
+def small_lps(draw, entries=st.integers(-3, 3), values=st.integers(-3, 3),
+              denominators=st.integers(1, 4)):
+    def rational(numerators):
+        return F(draw(numerators), draw(denominators))
+
     m, n = draw(st.integers(1, 3)), draw(st.integers(1, 5))
-    rows = [[F(draw(entries)) for _ in range(n)] for _ in range(m)]
-    rhs = [F(draw(values)) for _ in range(m)]
+    rows = [[rational(entries) for _ in range(n)] for _ in range(m)]
+    rhs = [rational(values) for _ in range(m)]
     if m > 1 and draw(st.booleans()):     # a redundant last row
         k = draw(st.integers(-2, 2))
         rows[-1] = [a + k * b for a, b in zip(rows[0], rows[-2])]
         rhs[-1] = rhs[0] + k * rhs[-2]
-    obj = [F(draw(st.integers(-3, 3))) for _ in range(n)]
+    obj = [rational(st.integers(-3, 3)) for _ in range(n)]
     return obj, rows, rhs
 
 
@@ -156,7 +172,8 @@ def test_lp_matches_basic_feasible_solution_oracle(case):
 
 
 @settings(max_examples=300)
-@given(small_lps(entries=st.integers(1, 3), values=st.integers(0, 6)))
+@given(small_lps(entries=st.integers(1, 3), values=st.integers(0, 6),
+                 denominators=st.just(1)))
 def test_ilp_matches_brute_force(case):
     # the first row is positive with rhs >= 0, so it bounds every variable
     # and the integer points form a finite box
