@@ -144,7 +144,10 @@ def _gate(text: str) -> pipeline.GatePolicy:
     if text == "full":
         return pipeline.GatePolicy(scope=pipeline.FULL_LINK)
     if text.startswith("p="):
-        dims = frozenset(int(t) for t in text[2:].split(","))
+        try:
+            dims = frozenset(int(t) for t in text[2:].split(","))
+        except ValueError as exc:
+            raise InvalidArgument(f"bad gate {text!r}: {exc}")
         return pipeline.GatePolicy(required_conditions=dims,
                                    scope=pipeline.LISTED_P_ONLY)
     raise InvalidArgument(f"bad gate {text!r}; use 'full' or 'p=2,1'")
@@ -277,6 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "budget", None) is not None and args.budget < 0:
+            raise InvalidArgument(f"--budget {args.budget} is negative")
         return args.func(args)
     except (InvalidArgument, scxio.ParseError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

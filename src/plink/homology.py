@@ -51,82 +51,67 @@ def _boundary(rows: tuple, cols: tuple) -> IntegerMatrix:
 
 # -- Smith normal form ------------------------------------------------------
 
+def _gcd_step(a: int, b: int) -> tuple:
+    """(x, y, p, q) with [[x, y], [-q, p]] unimodular, taking (a, b), a != 0,
+    to (g, 0): g = a if a divides b, else g = +-gcd(a, b) (extended Euclid)."""
+    if b % a == 0:
+        return 1, 0, 1, b // a
+    g, g1, x, x1 = a, b, 1, 0
+    while g1:
+        k = g // g1
+        g, g1, x, x1 = g1, g - k * g1, x1, x - k * x1
+    return x, (g - x * a) // b, a // g, b // g
+
+
 def _smith(M: list, m: int, n: int) -> list:
     """Reduce the leading m x n block of M in place to its Smith normal form
-    U B V = D (minimal-|pivot| pivoting); return the invariant factors.
+    U B V = D; return the invariant factors, positive, each dividing the next.
 
-    Row operations act on whole rows 0..m-1 and column operations on whole
-    columns 0..n-1, so passenger columns past n come out multiplied by U and
-    passenger rows past m multiplied by V."""
-    def swap_rows(i, j):
-        M[i], M[j] = M[j], M[i]
+    Step t swaps the first nonzero entry of the trailing block (column by
+    column) to (t, t), then clears column t and row t until both are clear,
+    each entry b beside the pivot a by ``_gcd_step(a, b)`` on the pair of
+    rows or columns (Cohen 1993, 2.4); that shrinks the pivot unless a | b.
+    A trailing entry that the pivot does not divide has its row added to
+    row t, and step t is redone.
 
-    def swap_cols(i, j):
-        for row in M:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, q):      # row_dst += q * row_src
-        M[dst] = [a + q * b for a, b in zip(M[dst], M[src])]
-
-    def add_col(dst, src, q):      # col_dst += q * col_src
-        for row in M:
-            row[dst] += q * row[src]
-
-    def negate_row(i):
-        M[i] = [-x for x in M[i]]
-
+    Row and column operations act on whole rows 0..m-1 and whole columns
+    0..n-1: passenger columns past n come out multiplied by U and passenger
+    rows past m by V.  No entry is divided: passengers may hold Fractions."""
     t = 0
-    while t < min(m, n):
-        # minimal absolute nonzero pivot in the trailing block
-        pivot = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = abs(M[i][j])
-                if v and (best is None or v < best):
-                    best, pivot = v, (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        if pi != t:
-            swap_rows(t, pi)
-        if pj != t:
-            swap_cols(t, pj)
-        # clear row t and column t; remainders may force re-pivoting
+    while True:
+        i, j = next(((i, j) for j in range(t, n) for i in range(t, m)
+                     if M[i][j]), (None, None))
+        if i is None:
+            return [M[k][k] for k in range(t)]
+        M[t], M[i] = M[i], M[t]
+        for row in M[t:]:       # rows above t are zero past their diagonal
+            row[t], row[j] = row[j], row[t]
         while True:
-            done = True
             for i in range(t + 1, m):
                 if M[i][t]:
-                    q = M[i][t] // M[t][t]
-                    add_row(i, t, -q)
-                    if M[i][t]:
-                        swap_rows(t, i)
-                        done = False
+                    x, y, p, q = _gcd_step(M[t][t], M[i][t])
+                    r, s = M[t], M[i]
+                    if y:
+                        M[t] = [x * u + y * v for u, v in zip(r, s)]
+                    M[i] = [p * v - q * u for u, v in zip(r, s)]
+            if not any(M[t][t + 1:n]):
+                break
             for j in range(t + 1, n):
                 if M[t][j]:
-                    q = M[t][j] // M[t][t]
-                    add_col(j, t, -q)
-                    if M[t][j]:
-                        swap_cols(t, j)
-                        done = False
-            if done:
-                break
-        # enforce divisibility of the trailing block by the pivot
-        bad = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if M[i][j] % M[t][t]:
-                    bad = i
-                    break
-            if bad is not None:
-                break
+                    x, y, p, q = _gcd_step(M[t][t], M[t][j])
+                    for row in M[t:]:
+                        u, v = row[t], row[j]
+                        if y:
+                            row[t] = x * u + y * v
+                        row[j] = p * v - q * u
+        bad = next((i for i in range(t + 1, m) for j in range(t + 1, n)
+                    if M[i][j] % M[t][t]), None)
         if bad is not None:
-            add_row(t, bad, 1)
+            M[t] = [u + v for u, v in zip(M[t], M[bad])]
             continue
         if M[t][t] < 0:
-            negate_row(t)
+            M[t] = [-u for u in M[t]]
         t += 1
-    return [M[i][i] for i in range(t)]
 
 
 def smith_normal_form(entries: list) -> list:

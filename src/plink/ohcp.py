@@ -148,9 +148,11 @@ def solve_ilp(lp: LinearProgram, budget: Optional[int] = None) -> LPResult:
     branch first.  A node whose relaxation is infeasible is pruned.  Only
     the root can be unbounded, since a child of a bounded LP is bounded; then
     the ILP is unbounded iff it has an integral point (Meyer's theorem for
-    rational data), so the same search on a zero objective, with the budget
-    left, decides UNBOUNDED, INFEASIBLE or BUDGET_EXCEEDED.  budget caps the
-    number of LP solves.
+    rational data).  There is none if rows . z = rhs has no integral
+    solution even without z >= 0 (``snf_solve``): INFEASIBLE.  Else the same
+    search on a zero objective, with the budget left, decides UNBOUNDED,
+    INFEASIBLE or BUDGET_EXCEEDED; that search may never end without a
+    budget.  budget caps the number of LP solves.
     """
     n = len(lp.objective)
     solves = 0
@@ -161,6 +163,12 @@ def solve_ilp(lp: LinearProgram, budget: Optional[int] = None) -> LPResult:
         solves += 1
         res = solve_lp_exact(node)
         if res.status == UNBOUNDED:
+            scale = math.lcm(*(v.denominator for r in lp.rows + [lp.rhs]
+                               for v in r))
+            y = snf_solve([_integral(r, scale) for r in lp.rows],
+                          _integral(lp.rhs, scale))
+            if y is None or any(v.denominator != 1 for v in y):
+                return LPResult(INFEASIBLE)
             left = None if budget is None else budget - solves
             point = solve_ilp(replace(lp, objective=[0] * n), left)
             return point if point.values is None else LPResult(UNBOUNDED)

@@ -1,4 +1,5 @@
 import random
+import signal
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -14,6 +15,19 @@ settings.load_profile("default")
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)
+
+
+@pytest.fixture
+def deadline():
+    """deadline(seconds) fails the test once that much wall time has passed,
+    so a call that never ends fails instead of hanging the suite."""
+    def expire(signum, frame):
+        pytest.fail("deadline exceeded")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    yield lambda seconds: signal.setitimer(signal.ITIMER_REAL, seconds)
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 def small_complexes(seed, count, **kw):

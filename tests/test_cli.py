@@ -168,8 +168,9 @@ def test_reduce_with_log(annulus_path, tmp_path):
 def test_reduce_gate_parsing(annulus_path, tmp_path):
     assert main(["reduce", annulus_path, "--gate", "p=1,2",
                  "-o", str(tmp_path / "o.scx")]) == EXIT_OK
-    assert main(["reduce", annulus_path, "--gate", "sideways",
-                 "-o", str(tmp_path / "o2.scx")]) == EXIT_USAGE
+    for gate in ("sideways", "p=a", "p=", "p=1,,2"):
+        assert main(["reduce", annulus_path, "--gate", gate,
+                     "-o", str(tmp_path / "o2.scx")]) == EXIT_USAGE
 
 
 def test_generate_rejects_bad_mobius_sizes(tmp_path):
@@ -185,3 +186,11 @@ def test_usage_errors(tmp_path, annulus_path, capsys):
     bad = tmp_path / "bad.scx"
     bad.write_text("0 1 w oops\n")
     assert main(["homology", str(bad), "--p", "0"]) == EXIT_USAGE
+    chain = tmp_path / "edge.chn"
+    edge = parse_scx(open(annulus_path).read()).p_simplices(1)[0]
+    chain.write_text(serialize_chn({edge: 1}))
+    for command in (["tu-check", annulus_path, "--p", "2"],
+                    ["rel-torsion", annulus_path, "--p", "1"],
+                    ["ohcp", annulus_path, str(chain), "--integer"]):
+        assert main(command + ["--budget", "-1"]) == EXIT_USAGE
+        assert main(command + ["--budget", "0"]) != EXIT_USAGE

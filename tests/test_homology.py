@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -132,11 +133,21 @@ matrix_rhs_st = int_matrix_st.flatmap(lambda B: st.tuples(
                          max_size=len(B))))
 
 
-@given(matrix_rhs_st)
+# the passenger column of snf_solve holds Fractions, which floor division
+# would corrupt; integral d alone cannot tell
+rational_rhs_st = int_matrix_st.flatmap(lambda B: st.tuples(
+    st.just(B), st.lists(st.integers(-6, 6) | st.builds(
+        Fraction, st.integers(-6, 6), st.integers(1, 4)),
+        min_size=len(B), max_size=len(B))))
+
+
+@given(rational_rhs_st)
 def test_snf_solve_matches_rank_test(case):
     B, d = case
     y = snf_solve(B, d)
-    Bd = [row + [v] for row, v in zip(B, d)]
+    # matrix_rank is integer-only: scale [B | d] to integers
+    k = math.lcm(*(Fraction(v).denominator for v in d))
+    Bd = [[k * b for b in row] + [int(k * v)] for row, v in zip(B, d)]
     assert (y is None) == (matrix_rank(Bd) > matrix_rank(B))
     if y is not None:
         assert [sum(b * v for b, v in zip(row, y)) for row in B] == d
@@ -157,6 +168,29 @@ def test_snf_solve_integral_iff_invariant_factors_agree(sympy, case):
     Bd = [row + [v] for row, v in zip(B, d)]
     integral = all(Fraction(v).denominator == 1 for v in y)
     assert integral == (not B or factors(B) == factors(Bd))
+
+
+DENSE_7X7 = [[5, 5, 2, -3, 5, -1, 2], [-1, 5, 1, -3, 1, 2, 2],
+             [5, 1, -3, -1, 1, 1, 1], [5, -3, -1, 5, 2, -3, -1],
+             [0, -3, 5, 0, 0, -3, 1], [0, 5, 0, -1, 1, 5, 0],
+             [0, -1, 0, 2, 1, 1, 5]]
+
+
+def test_snf_ends_on_a_dense_matrix(deadline):
+    # minimal-|pivot| elimination grows its entries past 4,000 digits
+    deadline(5)
+    assert smith_normal_form(DENSE_7X7) == [1] * 6 + [24223]
+
+
+def test_snf_dense_matches_sympy(sympy, deadline):
+    from sympy.matrices.normalforms import invariant_factors
+    deadline(10)
+    r = random.Random(0x5EED)
+    for size in range(6, 11):
+        for _ in range(4):
+            A = [[r.randint(-5, 5) for _ in range(size)] for _ in range(size)]
+            ref = invariant_factors(sympy_matrix(sympy, A), domain=sympy.ZZ)
+            assert smith_normal_form(A) == [int(d) for d in ref if d]
 
 
 def test_snf_solve_rejects_mismatched_rhs():

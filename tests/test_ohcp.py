@@ -217,15 +217,18 @@ def test_ilp_budget_exceeded():
     assert res.status == BUDGET_EXCEEDED
 
 
-def test_ilp_unbounded_relaxation_needs_an_integral_point():
+def test_ilp_unbounded_relaxation_needs_an_integral_point(deadline):
+    deadline(5)
     # min -a s.t. a - b = 1: every (k + 1, k) is feasible
     start = time.perf_counter()
     assert solve_ilp(lp([-1, 0], [[1, -1]], [1])).status == UNBOUNDED
     assert time.perf_counter() - start < 1
     # min -b s.t. 2a = 1: the relaxation is unbounded, no integral point
     assert solve_ilp(lp([0, -1], [[2, 0]], [1])).status == INFEASIBLE
-    # min -a s.t. 2a - 2b = 1: no integral point, and no proof of it
-    res = solve_ilp(lp([-1, 0], [[2, -2]], [1]), budget=20)
+    # min -a s.t. 2a - 2b = 1: no integral solution even with a, b < 0
+    assert solve_ilp(lp([-1, 0], [[2, -2]], [1])).status == INFEASIBLE
+    # the search for an integral point honours the budget
+    res = solve_ilp(lp([-1, 0], [[1, -1]], [1]), budget=1)
     assert res.status == BUDGET_EXCEEDED
 
 
