@@ -3,9 +3,9 @@ exact integer homology, total-unimodularity certificates on boundary
 matrices, and exact-rational optimal homologous chain solving."""
 
 from .complexes import (COLLAPSING, INJECTIVE, MIRROR, Chain, EdgeContraction,
-                        InvalidArgument, Simplex, SimplexFate,
-                        SimplicialComplex, boundary_of, canon, chain_boundary,
-                        contract_edge, faces_of, push_chain, push_sign)
+                        InvalidArgument, Simplex, SimplicialComplex,
+                        boundary_of, canon, chain_boundary, contract_edge,
+                        faces_of, push_chain, push_sign)
 from .homology import (HomologyGroup, IntegerMatrix, SubcomplexPair, Verdict,
                        boundary_matrix, enumerate_pure_pairs,
                        has_relative_torsion, homology_group, is_pure,

@@ -280,8 +280,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "budget", None) is not None and args.budget < 0:
-            raise InvalidArgument(f"--budget {args.budget} is negative")
+        for flag in ("budget", "max_steps", "max_p"):
+            value = getattr(args, flag, None)
+            if value is not None and value < 0:
+                raise InvalidArgument(
+                    f"--{flag.replace('_', '-')} {value} is negative")
         return args.func(args)
     except (InvalidArgument, scxio.ParseError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -243,30 +243,53 @@ COLLAPSING = "collapsing"
 INJECTIVE = "injective"
 
 
-@dataclass(frozen=True)
-class SimplexFate:
-    """How one simplex behaves under a contraction."""
-    kind: str                       # "mirror" | "collapsing" | "injective"
-    partner: Optional[Simplex] = None  # the other mirror, when kind == mirror
-
-
-# Fates without a partner are shared: a contraction classifies every simplex.
-_COLLAPSING = SimplexFate(COLLAPSING)
-_INJECTIVE = SimplexFate(INJECTIVE)
+def _image(simplex: Simplex, a: int, b: int) -> Simplex:
+    """Image of a simplex under the vertex map b -> a."""
+    if b not in simplex:
+        return simplex
+    if a in simplex:
+        return tuple(v for v in simplex if v != b)
+    return tuple(sorted(a if v == b else v for v in simplex))
 
 
 @dataclass(frozen=True)
 class EdgeContraction:
+    """The simplicial map induced by the vertex map b -> a.
+
+    A source simplex holding both a and b collapses.  One holding exactly one
+    of them is a mirror when its twin, the same simplex with the other
+    endpoint in that place, is also in the source; the two share an image.
+    Every other simplex maps injectively.
+    """
     source: SimplicialComplex
     target: SimplicialComplex
     a: int                       # surviving vertex
     b: int                       # removed vertex
-    simplex_map: Mapping[Simplex, Simplex]
-    classification: Mapping[Simplex, SimplexFate]
 
+    def _in_source(self, simplex: Simplex) -> Simplex:
+        if simplex not in self.source.simplices:
+            raise InvalidArgument(
+                f"{simplex} is not a canonical source simplex")
+        return simplex
 
-def _rename(simplex: Simplex, b: int, a: int) -> Simplex:
-    return tuple(sorted(a if v == b else v for v in simplex))
+    def image(self, simplex: Simplex) -> Simplex:
+        return _image(self._in_source(simplex), self.a, self.b)
+
+    def partner(self, simplex: Simplex) -> Optional[Simplex]:
+        """The twin of a mirror simplex (a and b swapped), else None."""
+        a, b = self.a, self.b
+        twin = tuple(sorted(b if v == a else a if v == b else v
+                            for v in self._in_source(simplex)))
+        mirror = twin != simplex and twin in self.source.simplices
+        return twin if mirror else None
+
+    def fate(self, simplex: Simplex) -> str:
+        """COLLAPSING, MIRROR or INJECTIVE."""
+        if self.partner(simplex) is not None:
+            return MIRROR
+        if self.a in simplex and self.b in simplex:
+            return COLLAPSING
+        return INJECTIVE
 
 
 def contract_edge(complex: SimplicialComplex, edge: Iterable[int],
@@ -284,44 +307,20 @@ def contract_edge(complex: SimplicialComplex, edge: Iterable[int],
     else:
         raise InvalidArgument(f"keep={keep} is not an endpoint of {e}")
 
-    simplices = complex.simplices
-    simplex_map = {}
-    classification = {}
-    for s in simplices:
-        if b in s:
-            if a in s:
-                classification[s] = _COLLAPSING
-                simplex_map[s] = tuple(v for v in s if v != b)
-                continue
-            img = _rename(s, b, a)
-            simplex_map[s] = img
-            partner = img
-        else:
-            simplex_map[s] = s
-            partner = _rename(s, a, b) if a in s else None
-        if partner is not None and partner in simplices:
-            classification[s] = SimplexFate(MIRROR, partner=partner)
-        else:
-            classification[s] = _INJECTIVE
-
-    target_simplices = set(simplex_map.values())
-    target_weights = None
-    if complex.weights:
-        wdim = len(next(iter(complex.weights)))
-        target_weights = {}
-        for s, img in simplex_map.items():
-            if len(img) != wdim or len(s) != wdim:
-                continue
+    wdim = len(next(iter(complex.weights))) if complex.weights else 0
+    images = set()
+    weights = {}
+    for s in complex.simplices:
+        img = _image(s, a, b)
+        images.add(img)
+        if len(s) == wdim == len(img):
             w = complex.weight(s)
             # mirror merges keep the smaller weight
-            if img in target_weights:
-                target_weights[img] = min(target_weights[img], w)
-            else:
-                target_weights[img] = w
-    target = SimplicialComplex(target_simplices, target_weights)
-    return EdgeContraction(source=complex, target=target, a=a, b=b,
-                           simplex_map=simplex_map,
-                           classification=classification)
+            if img not in weights or w < weights[img]:
+                weights[img] = w
+    return EdgeContraction(source=complex,
+                           target=SimplicialComplex(images, weights),
+                           a=a, b=b)
 
 
 def push_sign(simplex: Simplex, b: int, a: int) -> int:
@@ -343,12 +342,9 @@ def push_chain(contraction: EdgeContraction, chain: Chain) -> Chain:
     """
     out: Chain = {}
     for s, coeff in chain.items():
-        if s not in contraction.source.simplices:
-            raise InvalidArgument(f"{s} is not a canonical source simplex")
-        fate = contraction.classification[s]
-        if fate.kind == COLLAPSING:
+        if contraction.fate(s) == COLLAPSING:
             continue
-        img = contraction.simplex_map[s]
+        img = contraction.image(s)
         sign = push_sign(s, contraction.b, contraction.a)
         c = out.get(img, 0) + sign * coeff
         if c:

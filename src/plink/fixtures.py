@@ -128,10 +128,16 @@ FIXTURE_NAMES = tuple(FIXTURES)
 
 
 def generate(name: str, **params) -> SimplicialComplex:
-    """Build a named fixture; a size parameter it does not take is ignored."""
+    """Build a named fixture; a size parameter it does not take is an
+    InvalidArgument."""
     if name not in FIXTURES:
         raise InvalidArgument(f"unknown fixture {name!r}")
     build, param = FIXTURES[name]
+    extra = sorted(set(params) - {param})
+    if extra:
+        size = f"its size is {param}" if param else "it has no size"
+        raise InvalidArgument(f"fixture {name!r} has no size parameter "
+                              f"{extra[0]} ({size})")
     return build(params[param]) if param in params else build()
 
 

@@ -27,6 +27,19 @@ class IntegerMatrix:
         return self.entries[self.rows.index(row_label)][self.cols.index(col_label)]
 
 
+def _shape(entries: list, square: bool = False) -> tuple[int, int]:
+    """(m, n) of a matrix given as a list of rows; rows of unequal length,
+    or m != n when square is asked, are an InvalidArgument."""
+    m = len(entries)
+    n = len(entries[0]) if m else 0
+    if any(len(row) != n for row in entries):
+        raise InvalidArgument(f"ragged matrix: row lengths "
+                              f"{sorted({len(row) for row in entries})}")
+    if square and m != n:
+        raise InvalidArgument(f"{m} x {n} matrix is not square")
+    return m, n
+
+
 def boundary_matrix(complex: SimplicialComplex, p: int) -> IntegerMatrix:
     """The p-boundary matrix: one column per p-simplex, one row per
     (p-1)-simplex, entries +-1 by orientation agreement."""
@@ -117,9 +130,8 @@ def _smith(M: list, m: int, n: int) -> list:
 def smith_normal_form(entries: list) -> list:
     """Invariant factors d1 | d2 | ... | dr of an integer matrix, all
     positive; r is its rank."""
-    m = len(entries)
-    return _smith([list(row) for row in entries], m,
-                  len(entries[0]) if m else 0)
+    m, n = _shape(entries)
+    return _smith([list(row) for row in entries], m, n)
 
 
 def snf_solve(entries: list, d: list) -> Optional[list]:
@@ -130,8 +142,7 @@ def snf_solve(entries: list, d: list) -> Optional[list]:
     identity as passenger rows, so it yields U d and V.  Then y = V z with
     z_i = (U d)_i / D_ii, and z_i = 0 past the rank.  V is unimodular, so y
     is integral iff B y = d has an integral solution."""
-    m = len(entries)
-    n = len(entries[0]) if m else 0
+    m, n = _shape(entries)
     if len(d) != m:
         raise InvalidArgument(f"d has {len(d)} entries for {m} rows")
     M = [list(row) + [v] for row, v in zip(entries, d)]
@@ -162,8 +173,8 @@ def bareiss_step(a: list, k: int, c: int, prev: int, rows, cols) -> int:
 def det_int(mat: list) -> int:
     """Exact determinant of a square integer matrix; stops at the first
     column with no pivot."""
+    n, _ = _shape(mat, square=True)
     a = [list(row) for row in mat]
-    n = len(a)
     sign = 1
     prev = 1
     for k in range(n):
@@ -181,11 +192,11 @@ def det_int(mat: list) -> int:
 
 def matrix_rank(entries: list) -> int:
     """Rank of an integer matrix; a column with no pivot is skipped."""
+    m, n = _shape(entries)
     a = [list(row) for row in entries]
-    m = len(a)
     rank = 0
     prev = 1
-    for c in range(len(a[0]) if m else 0):
+    for c in range(n):
         for i in range(rank, m):
             if a[i][c]:
                 break
@@ -193,7 +204,7 @@ def matrix_rank(entries: list) -> int:
             continue
         a[rank], a[i] = a[i], a[rank]
         prev = bareiss_step(a, rank, c, prev, range(rank + 1, m),
-                            range(c + 1, len(a[rank])))
+                            range(c + 1, n))
         rank += 1
         if rank == m:
             break

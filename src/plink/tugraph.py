@@ -10,7 +10,8 @@ from typing import Iterator, Optional, Union
 
 from .complexes import (COLLAPSING, MIRROR, EdgeContraction, InvalidArgument,
                         SimplicialComplex)
-from .homology import IntegerMatrix, Verdict, boundary_matrix, det_int
+from .homology import (IntegerMatrix, Verdict, _shape, boundary_matrix,
+                       det_int)
 
 B_EVEN = "b-even"
 B_ODD = "b-odd"
@@ -33,9 +34,9 @@ def _labelled(matrix: Union[IntegerMatrix, list]) -> tuple:
     labels."""
     if isinstance(matrix, IntegerMatrix):
         return matrix.rows, matrix.cols, matrix.entries
-    rows = tuple(("r", i) for i in range(len(matrix)))
-    cols = tuple(("c", j) for j in range(len(matrix[0]) if matrix else 0))
-    return rows, cols, matrix
+    m, n = _shape(matrix)
+    return (tuple(("r", i) for i in range(m)),
+            tuple(("c", j) for j in range(n)), matrix)
 
 
 @dataclass
@@ -279,24 +280,23 @@ def map_circuit_f(contraction: EdgeContraction, circuit) -> Circuit:
     contraction.  The circuit must avoid collapsing p-vertices and mirror
     (p+1)-vertex pairs.
     """
-    cls = contraction.classification
     taus = {tau for (tau, _) in circuit}
     sigmas = {sigma for (_, sigma) in circuit}
     for tau in taus:
-        if cls[tau].kind == COLLAPSING:
+        if contraction.fate(tau) == COLLAPSING:
             raise CircuitDomainError(
                 f"circuit contains collapsing p-vertex {tau}")
     for sigma in sigmas:
-        fate = cls[sigma]
-        if fate.kind == MIRROR and fate.partner in sigmas:
+        partner = contraction.partner(sigma)
+        if partner in sigmas:
             raise CircuitDomainError(
                 f"circuit contains mirror (p+1)-vertex pair "
-                f"{sigma}, {fate.partner}")
+                f"{sigma}, {partner}")
     image = set()
     for (tau, sigma) in circuit:
-        if cls[sigma].kind == COLLAPSING:
+        if contraction.fate(sigma) == COLLAPSING:
             continue                      # mirror connection -> vertex
-        e = (contraction.simplex_map[tau], contraction.simplex_map[sigma])
+        e = (contraction.image(tau), contraction.image(sigma))
         if e in image:
             raise InvalidArgument(f"unexpected edge collision on {e}")
         image.add(e)
@@ -321,25 +321,23 @@ def construct_preimage_circuit(contraction: EdgeContraction,
     if not src.satisfies_p_link(tuple(sorted((a, b))), p):
         raise PreconditionError(
             f"edge ({a},{b}) does not satisfy the {p}-link condition")
-    cls = contraction.classification
-    gmap = contraction.simplex_map
     target = frozenset(target_circuit)
 
     S = set()
     for sigma in src.p_simplices(p + 1):
-        fate = cls[sigma]
-        if fate.kind == COLLAPSING or (fate.kind == MIRROR and b in sigma):
+        fate = contraction.fate(sigma)
+        if fate == COLLAPSING or (fate == MIRROR and b in sigma):
             continue
+        img = contraction.image(sigma)
         for k in range(len(sigma)):
             tau = sigma[:k] + sigma[k + 1:]
-            if (gmap[tau], gmap[sigma]) in target:
+            if (contraction.image(tau), img) in target:
                 S.add((tau, sigma))
 
     odd = _odd_vertices(S)
-    for tau1 in sorted(v for v in odd
-                       if len(v) == p + 1 and cls[v].kind == MIRROR):
-        tau2 = cls[tau1].partner
-        if tau1 > tau2 or tau2 not in odd:
+    for tau1 in sorted(v for v in odd if len(v) == p + 1):
+        tau2 = contraction.partner(tau1)
+        if tau2 is None or tau1 > tau2 or tau2 not in odd:
             continue
         sigma = tuple(sorted(set(tau1) | set(tau2)))
         if sigma not in src.simplices:

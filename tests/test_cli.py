@@ -179,6 +179,22 @@ def test_generate_rejects_bad_mobius_sizes(tmp_path):
                      "-o", str(tmp_path / "x.scx")]) == EXIT_USAGE
 
 
+def test_flags_out_of_range_are_usage_errors(tmp_path, annulus_path, capsys):
+    # each of these exited 0: cone(4), no contraction, empty verdicts
+    out = str(tmp_path / "x.scx")
+    for argv, flag in ((["generate", "cone", "--k", "9", "-o", out],
+                        "size parameter k"),
+                       (["reduce", annulus_path, "--gate", "full",
+                         "--max-steps", "-1", "-o", out], "--max-steps"),
+                       (["link-check", annulus_path, "--max-p", "-3"],
+                        "--max-p")):
+        assert main(argv) == EXIT_USAGE
+        assert flag in capsys.readouterr().err
+    assert main(["reduce", annulus_path, "--gate", "full",
+                 "--max-steps", "0", "-o", out]) == EXIT_OK
+    assert main(["link-check", annulus_path, "--max-p", "0"]) == EXIT_OK
+
+
 def test_usage_errors(tmp_path, annulus_path, capsys):
     assert main(["homology", str(tmp_path / "missing.scx"),
                  "--p", "0"]) == EXIT_USAGE

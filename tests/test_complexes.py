@@ -233,10 +233,62 @@ def test_classification_kinds():
     # two triangles sharing edge (0,1): contracting (0,1) collapses both
     cx = SimplicialComplex.from_maximal([(0, 1, 2), (0, 1, 3)])
     ct = contract_edge(cx, (0, 1))
-    assert ct.classification[(0, 1, 2)].kind == COLLAPSING
-    assert ct.classification[(0, 2)].kind == MIRROR
-    assert ct.classification[(0, 2)].partner == (1, 2)
-    assert ct.classification[(2,)].kind == INJECTIVE
+    assert ct.fate((0, 1, 2)) == COLLAPSING
+    assert ct.fate((0, 2)) == MIRROR
+    assert ct.partner((0, 2)) == (1, 2)
+    assert ct.fate((2,)) == INJECTIVE
+
+
+def vertex_map_table(cx, a, b):
+    """Slow reference oracle for contracting b into a: simplex -> (image,
+    fate, partner), from the renamed vertex sets grouped by image."""
+    image = {s: tuple(sorted({a if v == b else v for v in s}))
+             for s in cx.simplices}
+    collapsing = {s for s in cx.simplices if a in s and b in s}
+    over = {}
+    for s in cx.simplices:
+        if s not in collapsing:
+            over.setdefault(image[s], []).append(s)
+    table = {}
+    for s in cx.simplices:
+        others = [t for t in over.get(image[s], []) if t != s]
+        if s in collapsing:
+            table[s] = (image[s], COLLAPSING, None)
+        elif others:
+            (partner,) = others
+            table[s] = (image[s], MIRROR, partner)
+        else:
+            table[s] = (image[s], INJECTIVE, None)
+    return table
+
+
+def test_vertex_map_matches_reference_table():
+    r = random.Random(11)
+    complexes = [annulus(4), mobius(5), cone(4)]
+    complexes += [random_complex(r, n_vertices=7, max_dim=3, n_generators=5)
+                  for _ in range(40)]
+    checked = set()
+    for cx in complexes:
+        for e in cx.edges:
+            for keep in e:
+                ct = contract_edge(cx, e, keep=keep)
+                table = vertex_map_table(cx, ct.a, ct.b)
+                for s, (img, fate, partner) in table.items():
+                    assert ct.image(s) == img
+                    assert ct.fate(s) == fate
+                    assert ct.partner(s) == partner
+                    checked.add(fate)
+                assert ct.target.simplices == {img for img, _, _ in
+                                               table.values()}
+    assert checked == {COLLAPSING, MIRROR, INJECTIVE}
+
+
+def test_vertex_map_rejects_foreign_simplices():
+    ct = contract_edge(SimplicialComplex.from_maximal([(0, 1, 2)]), (0, 1))
+    for s in ((5, 6), (2, 1), (0, 1, 2, 3)):
+        for method in (ct.image, ct.fate, ct.partner):
+            with pytest.raises(InvalidArgument):
+                method(s)
 
 
 def test_contract_target_is_face_closed_and_smaller():

@@ -83,6 +83,16 @@ def test_generate_registry():
     assert generate("cone", n=6).vertices == list(range(7))
 
 
+def test_generate_rejects_a_size_the_fixture_does_not_take():
+    # cone once built cone(4) here, silently
+    with pytest.raises(InvalidArgument, match="no size parameter k"):
+        generate("cone", k=9)
+    with pytest.raises(InvalidArgument, match="no size parameter n"):
+        generate("mobius", k=7, n=3)
+    with pytest.raises(InvalidArgument, match="it has no size"):
+        generate("fig-plink-left", n=3)
+
+
 def test_random_complex_is_deterministic_per_seed():
     a = random_complex(random.Random(42))
     b = random_complex(random.Random(42))

@@ -9,7 +9,7 @@ from plink.complexes import InvalidArgument, SimplicialComplex
 from plink.fixtures import (annulus, cone, mobius, mobius_boundary,
                             punctured_mobius, random_complex)
 from plink.homology import (SubcomplexPair, TRUNCATED, _smith,
-                            boundary_matrix, enumerate_pure_pairs,
+                            boundary_matrix, det_int, enumerate_pure_pairs,
                             has_relative_torsion, homology_group, is_pure,
                             matrix_rank, relative_boundary_matrix,
                             relative_homology_group, smith_normal_form,
@@ -196,6 +196,26 @@ def test_snf_dense_matches_sympy(sympy, deadline):
 def test_snf_solve_rejects_mismatched_rhs():
     with pytest.raises(InvalidArgument):
         snf_solve([[1, 2]], [1, 2])
+
+
+# Each of these once read only the first row's width and answered wrongly:
+# [1], rank 0, det 1 and None.
+@pytest.mark.parametrize("call", [
+    lambda: smith_normal_form([[1], [0, 2]]),
+    lambda: matrix_rank([[0], [0, 1]]),
+    lambda: det_int([[1, 2]]),
+    lambda: snf_solve([[1], [0, 2]], [1, 1]),
+], ids=["snf", "rank", "det", "snf_solve"])
+def test_ragged_or_non_square_matrix_is_rejected(call):
+    with pytest.raises(InvalidArgument):
+        call()
+
+
+def test_empty_and_rectangular_matrices_keep_their_answers():
+    assert smith_normal_form([]) == [] and matrix_rank([[], []]) == 0
+    assert det_int([]) == 1 and det_int([[0, 1], [1, 0]]) == -1
+    assert matrix_rank([[0, 2, 4]]) == 1
+    assert snf_solve([[2, 4]], [6]) is not None
 
 
 # -- boundary matrices --------------------------------------------------------

@@ -218,6 +218,13 @@ def test_tu_rejects_unknown_strategy():
         is_totally_unimodular([[1]], strategy="magic")
 
 
+def test_tu_rejects_ragged_matrix():
+    # read as the 2 x 1 matrix [[1], [1]], this once came out TU
+    for strategy in ("circuit", "determinant"):
+        with pytest.raises(InvalidArgument):
+            is_totally_unimodular([[1], [1, -1]], strategy=strategy)
+
+
 def test_tu_non_sign_entry_short_circuit():
     v = is_totally_unimodular([[3]], strategy="circuit")
     assert v.status is False
@@ -231,10 +238,10 @@ def b_side_mirrors_over(ct, circuit):
     p = len(next(iter(circuit))[0]) - 1
     out = set()
     for sigma in ct.source.p_simplices(p + 1):
-        if ct.classification[sigma].kind != MIRROR or ct.b not in sigma:
+        if ct.fate(sigma) != MIRROR or ct.b not in sigma:
             continue
         for tau in itertools.combinations(sigma, p + 1):
-            if (ct.simplex_map[tau], ct.simplex_map[sigma]) in circuit:
+            if (ct.image(tau), ct.image(sigma)) in circuit:
                 out.add(sigma)
     return out
 
@@ -251,7 +258,7 @@ def round_trips(ct, p, circuits):
         assert map_circuit_f(ct, pre) == circuit
         assert b_parity(gs, pre) == b_parity(gt, circuit)
         # the preimage takes the a side of every mirror pair
-        assert not any(ct.classification[sigma].kind == MIRROR
+        assert not any(ct.fate(sigma) == MIRROR
                        and ct.b in sigma for (_, sigma) in pre)
         trips += 1
         over_b_side += bool(b_side_mirrors_over(ct, circuit))
