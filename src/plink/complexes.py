@@ -28,9 +28,9 @@ def canon(vertices: Iterable[int]) -> Simplex:
     if not vs:
         raise InvalidArgument("a simplex needs at least one vertex")
     if len(set(vs)) != len(vs):
-        raise InvalidArgument(f"duplicate vertices in {vertices!r}")
+        raise InvalidArgument(f"duplicate vertices in {vs}")
     if vs[0] < 0:
-        raise InvalidArgument(f"negative vertex id in {vertices!r}")
+        raise InvalidArgument(f"negative vertex id in {vs}")
     return vs
 
 

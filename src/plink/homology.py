@@ -127,11 +127,68 @@ def _smith(M: list, m: int, n: int) -> list:
         t += 1
 
 
+def _unit_pivots(entries: list) -> tuple:
+    """(units, residual): eliminate +-1 pivots sparsely, least Markowitz
+    fill (row nnz - 1)(col nnz - 1) first, until none is left; the
+    invariant factors of the matrix are [1] * units followed by those of
+    the dense residual over the surviving rows and columns.
+
+    A +-1 pivot clears the rest of its column by integral row operations;
+    column operations then clear its row without touching any other row.
+    Both are unimodular, and the pivot leaves an invariant factor 1
+    (Dumas-Saunders-Villard 2001; Markowitz 1957)."""
+    rows = {}                   # row -> {col: nonzero value}
+    cols = {}                   # col -> rows holding a nonzero there
+    for i, row in enumerate(entries):
+        r = {j: v for j, v in enumerate(row) if v}
+        if r:
+            rows[i] = r
+            for j in r:
+                cols.setdefault(j, set()).add(i)
+    units = 0
+    while True:
+        best = None
+        for i, r in rows.items():
+            fill = len(r) - 1
+            for j, v in r.items():
+                if v == 1 or v == -1:
+                    cost = fill * (len(cols[j]) - 1)
+                    if best is None or cost < best[0]:
+                        best = (cost, i, j)
+            if best is not None and best[0] == 0:
+                break
+        if best is None:
+            break
+        _, i, j = best
+        prow = rows.pop(i)
+        for c in prow:
+            cols[c].discard(i)
+        f0 = prow.pop(j)
+        for k in cols.pop(j):
+            r = rows[k]
+            f = r.pop(j) * f0   # r[j] / prow[j], as prow[j] is +-1
+            for c, w in prow.items():
+                x = r.get(c, 0) - f * w
+                if x:
+                    r[c] = x
+                    cols[c].add(k)
+                else:
+                    del r[c]
+                    cols[c].discard(k)
+            if not r:
+                del rows[k]
+        units += 1
+    keep = sorted({c for r in rows.values() for c in r})
+    return units, [[r.get(c, 0) for c in keep] for r in rows.values()]
+
+
 def smith_normal_form(entries: list) -> list:
     """Invariant factors d1 | d2 | ... | dr of an integer matrix, all
-    positive; r is its rank."""
-    m, n = _shape(entries)
-    return _smith([list(row) for row in entries], m, n)
+    positive; r is its rank.  Unit pivots are eliminated sparsely first;
+    the dense _smith reduces only what is left."""
+    _shape(entries)
+    units, rest = _unit_pivots(entries)
+    return [1] * units + _smith(rest, len(rest), len(rest[0]) if rest else 0)
 
 
 def snf_solve(entries: list, d: list) -> Optional[list]:
@@ -227,10 +284,11 @@ def _homology(n_p: int, d_p: list, d_next: list) -> HomologyGroup:
     """H_p from the number of p-cells and the entries of [d_p] and
     [d_{p+1}] (an empty list for a zero map): the betti number is
     n_p - rank d_p - rank d_{p+1}, the torsion the invariant factors of
-    d_{p+1} above 1."""
+    d_{p+1} above 1.  Both ranks are read off the Smith normal form."""
     diag = smith_normal_form(d_next)
-    return HomologyGroup(betti=n_p - matrix_rank(d_p) - len(diag),
-                         torsion_coeffs=[d for d in diag if d > 1])
+    return HomologyGroup(
+        betti=n_p - len(smith_normal_form(d_p)) - len(diag),
+        torsion_coeffs=[d for d in diag if d > 1])
 
 
 def homology_group(complex: SimplicialComplex, p: int) -> HomologyGroup:

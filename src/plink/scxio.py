@@ -48,6 +48,8 @@ def parse_scx(text: str) -> SimplicialComplex:
             raise ParseError(lineno, f"bad simplex {line!r}: {exc}")
         simplices.append(simplex)
         if weight is not None:
+            if simplex in weights:
+                raise ParseError(lineno, f"simplex {simplex} is weighted twice")
             weights[simplex] = weight
     return SimplicialComplex.from_maximal(simplices, weights or None)
 

@@ -1,4 +1,4 @@
-"""End-to-end acceptance sweep: ten numbered checks, one PASS/FAIL line each.
+"""End-to-end acceptance sweep: eleven numbered checks, one PASS/FAIL line each.
 
 Run with `pytest -v -s tests/test_acceptance.py` to see the summary lines.
 """
@@ -21,6 +21,8 @@ from plink.tugraph import (B_ODD, IncidenceGraph, b_parity, build_p_graph,
                            construct_preimage_circuit,
                            enumerate_chordless_cycles, enumerate_circuits,
                            is_totally_unimodular, map_circuit_f)
+from test_complexes import (brute_edge_links, brute_link_condition,
+                            brute_p_link)
 
 
 def report(n, ok, budget_s, elapsed, detail):
@@ -281,3 +283,34 @@ def test_criterion_10_b_parity_reorientation_invariance():
     report(10, bad == 0, 60, time.time() - t0,
            f"b-parity invariant under reorientation on {done} graphs, "
            f"{bad} flips")
+
+
+def test_criterion_11_link_kernel_matches_closure_star_oracle():
+    # criterion 1 compares two readings of one link_defect; this one checks
+    # the kernel and both gates against the closure/star definition
+    t0 = time.time()
+    rng = random.Random(1111)
+    complexes = list(CORPUS.values())
+    while len(complexes) < 200 + len(CORPUS):
+        cx = random_complex(rng, n_vertices=8, max_dim=4, n_generators=5)
+        if len(cx.simplices) <= 40:
+            complexes.append(cx)
+    edges = bad = 0
+    verdicts = set()
+    for cx in complexes:
+        for e in cx.edges:
+            edges += 1
+            common, lk_ab = brute_edge_links(cx, e)
+            full = brute_link_condition(cx, e)
+            p_links = [brute_p_link(cx, e, p) for p in range(-1, cx.dim + 2)]
+            verdicts.add((full, all(p_links[:3])))
+            if (cx.link_defect(e) != common - lk_ab
+                    or cx.satisfies_link_condition(e) != full
+                    or [cx.satisfies_p_link(e, p)
+                        for p in range(-1, cx.dim + 2)] != p_links):
+                bad += 1
+    # both gates must see passing and failing edges, and some edge must
+    # pass the 1-link gate while failing the full one
+    report(11, bad == 0 and len(verdicts) == 3, 10, time.time() - t0,
+           f"link_defect and both gates == closure/star oracle on {edges} "
+           f"edges of {len(complexes)} complexes, {bad} mismatches")

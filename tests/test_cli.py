@@ -55,6 +55,13 @@ def test_contract_roundtrip(annulus_path, tmp_path, capsys):
     assert 7 in cx.vertices and len(cx.vertices) == 7
 
 
+def test_contract_names_a_bad_edge(annulus_path, tmp_path, capsys):
+    assert main(["contract", annulus_path, "--edge", "0,0",
+                 "-o", str(tmp_path / "x.scx")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "duplicate vertices in (0, 0)" in err and "generator" not in err
+
+
 def test_homology_json(mobius_path, capsys):
     assert main(["homology", mobius_path, "--p", "1", "--json"]) == EXIT_OK
     out = json.loads(capsys.readouterr().out)

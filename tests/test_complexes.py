@@ -74,6 +74,17 @@ def test_canon_rejects_duplicates_and_negatives():
         canon(())
 
 
+def test_canon_errors_name_the_vertices():
+    # a generator argument is consumed by the sort: the messages once
+    # printed "<generator object ...>"
+    with pytest.raises(InvalidArgument, match=r"duplicate vertices in "
+                                              r"\(0, 0, 1\)"):
+        canon(v for v in (1, 0, 0))
+    with pytest.raises(InvalidArgument, match=r"negative vertex id in "
+                                              r"\(-1, 2\)"):
+        canon(v for v in (2, -1))
+
+
 @given(simplex_st)
 def test_faces_count(s):
     assert len(list(faces_of(s))) == 2 ** len(s) - 1

@@ -81,6 +81,28 @@ def test_parse_chn_merges_duplicate_lines():
     assert parse_chn("1 0 1\n2 1 0\n") == {(0, 1): 3}
 
 
+def test_parse_scx_rejects_a_second_weight():
+    # the second weight once silently replaced the first
+    with pytest.raises(ParseError, match="weighted twice") as err:
+        parse_scx("0 1 w 1/2\n1 2\n1 0 w 3\n")
+    assert err.value.lineno == 3
+    with pytest.raises(ParseError, match="weighted twice"):
+        parse_scx("0 1 w 1\n0 1 w 1\n")
+    cx = parse_scx("0 1 w 1/2\n0 1\n")
+    assert cx.weight((0, 1)) == Fraction(1, 2)
+
+
+def test_parse_errors_name_the_vertices():
+    for parse, text, message in (
+            (parse_scx, "0 0 1\n", "duplicate vertices in (0, 0, 1)"),
+            (parse_scx, "2 -1\n", "negative vertex id in (-1, 2)"),
+            (parse_chn, "1 2 2\n", "duplicate vertices in (2, 2)")):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert message in str(err.value)
+        assert "generator" not in str(err.value)
+
+
 def test_parse_chn_errors():
     with pytest.raises(ParseError):
         parse_chn("1\n")
