@@ -417,11 +417,15 @@ def has_relative_torsion(complex: SimplicialComplex, p: int,
     mode="oracle" enumerates pairs exhaustively (first witness pair in
     enumeration order; the budget caps the pairs); mode="tu" delegates to the
     circuit total-unimodularity test of the (p+1)-boundary matrix (the budget
-    caps its search nodes, and there is no witness).
+    caps its signed edges when every column or every row has at most two
+    nonzeros, its search nodes otherwise; there is no witness).  budget_used
+    counts the units spent; a negative budget raises InvalidArgument.
     """
     if not 0 <= p < complex.dim:
         raise InvalidArgument(f"p={p} out of range: relative torsion needs "
                               f"0 <= p < dim {complex.dim}")
+    if budget is not None and budget < 0:
+        raise InvalidArgument(f"budget {budget} is negative")
     if mode == "tu":
         from .tugraph import is_totally_unimodular
         tu = is_totally_unimodular(boundary_matrix(complex, p + 1),

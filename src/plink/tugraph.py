@@ -105,26 +105,32 @@ def b_parity(graph: IncidenceGraph, circuit) -> str:
     return B_EVEN if total == 0 else B_ODD
 
 
+class _BudgetSpent(Exception):
+    """Unwinds the whole chordless-cycle search when its budget runs out."""
+
+
 def enumerate_chordless_cycles(graph: IncidenceGraph,
-                               budget: Optional[int] = None
+                               budget: Optional[int] = None, *,
+                               spent: Optional[list] = None
                                ) -> Iterator[Union[Circuit, None]]:
     """Yield every chordless (induced) cycle as an edge frozenset, each once.
 
     Depth-first extension of induced paths with a canonical smallest start
-    vertex.  Yields None once if the node budget is exhausted.
+    vertex.  The budget caps the search nodes; when it runs out, the search
+    yields None once and stops.  If `spent` is given (a one-item list), its
+    item holds the search nodes spent so far at every yield and at the end.
     """
     order = {v: i for i, v in enumerate(graph.vertices)}
     adj = {v: sorted(graph.adj[v], key=order.get) for v in graph.vertices}
-    spent = 0
+    nodes = 0
 
     def extend(path, in_path):
-        nonlocal spent
+        nonlocal nodes
         s, u = path[0], path[-1]
         for w in adj[u]:
-            if budget is not None and spent >= budget:
-                yield None
-                return
-            spent += 1
+            if budget is not None and nodes >= budget:
+                raise _BudgetSpent
+            nodes += 1
             if order[w] <= order[s] or w in in_path:
                 continue
             nbrs = graph.adj[w] & in_path
@@ -141,12 +147,22 @@ def enumerate_chordless_cycles(graph: IncidenceGraph,
                     for i in range(len(cycle)):
                         a, b = cycle[i], cycle[(i + 1) % len(cycle)]
                         edges.add((a, b) if (a, b) in graph.weights else (b, a))
+                    if spent is not None:
+                        spent[0] = nodes
                     yield frozenset(edges)
 
-    for s in graph.vertices:
-        for t in adj[s]:
-            if order[t] > order[s]:
-                yield from extend([s, t], {s, t})
+    exhausted = False
+    try:
+        for s in graph.vertices:
+            for t in adj[s]:
+                if order[t] > order[s]:
+                    yield from extend([s, t], {s, t})
+    except _BudgetSpent:
+        exhausted = True
+    if spent is not None:
+        spent[0] = nodes
+    if exhausted:
+        yield None
 
 
 MAX_CIRCUITS = 1 << 20
@@ -231,6 +247,115 @@ def _tu_by_determinants(rows, cols, entries, budget) -> Verdict:
     return Verdict(True, "determinant", budget_used=checked)
 
 
+def _signed_edges(lines) -> Optional[list]:
+    """One signed edge (line, i, k, equal) for each line with two nonzeros,
+    at positions i < k, where equal tells whether they have the same sign;
+    None as soon as a line has three or more nonzeros."""
+    edges = []
+    for line, values in enumerate(lines):
+        nonzero = [i for i, v in enumerate(values) if v]
+        if len(nonzero) > 2:
+            return None
+        if len(nonzero) == 2:
+            i, k = nonzero
+            edges.append((line, i, k, values[i] == values[k]))
+    return edges
+
+
+def _tree_cycle(parent, u, v, closing) -> list:
+    """The edges of the cycle that the non-tree edge `closing` between u and
+    v closes in a forest of parent pointers (node -> (parent, edge))."""
+    depth = {}
+    up_u = []
+    x = u
+    while True:
+        depth[x] = len(up_u)
+        if parent[x] is None:
+            break
+        x, e = parent[x]
+        up_u.append(e)
+    up_v = []
+    x = v
+    while x not in depth:
+        x, e = parent[x]
+        up_v.append(e)
+    return up_u[:depth[x]] + up_v + [closing]
+
+
+def _tu_by_signed_colouring(rows, cols, entries, budget) -> Optional[Verdict]:
+    """Heller-Tompkins test, in Ghouila-Houri's form, for a 0/+-1 matrix
+    with at most two nonzeros in every column (or in every row): it is TU
+    iff its rows (columns) have a 2-colouring in which a column (row) with
+    two equal signs joins opposite sides and one with opposite signs joins
+    one side.  None when neither orientation has that shape.
+
+    A breadth-first colouring charges one budget unit per signed edge.  A
+    parity conflict closes a cycle of the forest; every line on it has only
+    its two cycle edges, so the cycle is chordless, and it holds an odd
+    number of equal-sign lines, so it is b-odd.
+    """
+    edges = _signed_edges(zip(*entries))
+    transposed = edges is None
+    if transposed:
+        edges = _signed_edges(entries)
+        if edges is None:
+            return None
+    adj = {}
+    for e, (_, i, k, _) in enumerate(edges):
+        adj.setdefault(i, []).append((k, e))
+        adj.setdefault(k, []).append((i, e))
+    side, parent = {}, {}
+    examined = [False] * len(edges)
+    used = 0
+    for root in adj:
+        if root in side:
+            continue
+        side[root], parent[root] = 0, None
+        queue = [root]
+        for u in queue:
+            for v, e in adj[u]:
+                if examined[e]:
+                    continue
+                if budget is not None and used >= budget:
+                    return Verdict(None, "circuit", budget_used=used)
+                examined[e] = True
+                used += 1
+                want = side[u] ^ edges[e][3]
+                if v not in side:
+                    side[v], parent[v] = want, (u, e)
+                    queue.append(v)
+                elif side[v] != want:
+                    cells = set()
+                    for f in _tree_cycle(parent, u, v, e):
+                        line, i, k, _ = edges[f]
+                        cells |= ({(line, i), (line, k)} if transposed
+                                  else {(i, line), (k, line)})
+                    witness = frozenset((rows[i], cols[j]) for i, j in cells)
+                    if (_odd_vertices(witness)
+                            or sum(entries[i][j] for i, j in cells) % 4 != 2):
+                        raise InvalidArgument(
+                            "signed colouring closed a cycle that is not a "
+                            "b-odd circuit")
+                    return Verdict(False, "circuit", witness=witness,
+                                   budget_used=used)
+    return Verdict(True, "circuit", budget_used=used)
+
+
+def _tu_by_circuit_search(graph: IncidenceGraph,
+                          budget: Optional[int]) -> Verdict:
+    """The first chordless b-odd circuit of the graph, or True when there is
+    none; the budget caps the search nodes."""
+    spent = [0]
+    for cycle in enumerate_chordless_cycles(graph, budget=budget,
+                                            spent=spent):
+        if cycle is None:
+            return Verdict(None, "circuit", budget_used=spent[0])
+        if sum(graph.weights[e] for e in cycle) % 4 == 2:
+            return Verdict(False, "circuit", witness=cycle,
+                           budget_used=spent[0])
+    return Verdict(True, "circuit", budget_used=spent[0])
+
+
 def is_totally_unimodular(matrix: Union[IntegerMatrix, list],
                           strategy: str = "circuit",
                           budget: Optional[int] = None) -> Verdict:
@@ -240,12 +365,19 @@ def is_totally_unimodular(matrix: Union[IntegerMatrix, list],
     An entry outside 0/+-1 is its own 1x1 witness.  strategy="determinant"
     checks square submatrices of order 2..8 (the budget caps the submatrices
     checked) and returns an offending submatrix as witness; it is
-    inconclusive beyond order 8.  strategy="circuit" searches the bipartite
-    graph representation for a chordless b-odd circuit (the budget caps the
-    search nodes).  A spent budget gives status None.
+    inconclusive beyond order 8.  strategy="circuit" returns a chordless
+    b-odd circuit of the bipartite graph representation as witness.  When
+    every column, or every row, has at most two nonzeros, it decides by the
+    Heller-Tompkins signed 2-colouring in linear time (the budget caps the
+    signed edges examined); otherwise it searches the chordless cycles (the
+    budget caps the search nodes).  A spent budget gives status None;
+    budget_used counts the units spent.  A negative budget raises
+    InvalidArgument.
     """
     if strategy not in ("circuit", "determinant"):
         raise InvalidArgument(f"unknown strategy {strategy!r}")
+    if budget is not None and budget < 0:
+        raise InvalidArgument(f"budget {budget} is negative")
     rows, cols, entries = _labelled(matrix)
     for i, row in enumerate(entries):
         for j, v in enumerate(row):
@@ -255,13 +387,10 @@ def is_totally_unimodular(matrix: Union[IntegerMatrix, list],
                                         "det": v})
     if strategy == "determinant":
         return _tu_by_determinants(rows, cols, entries, budget)
-    graph = IncidenceGraph.from_matrix(matrix)
-    for cycle in enumerate_chordless_cycles(graph, budget=budget):
-        if cycle is None:
-            return Verdict(None, "circuit", budget_used=budget)
-        if sum(graph.weights[e] for e in cycle) % 4 == 2:
-            return Verdict(False, "circuit", witness=cycle)
-    return Verdict(True, "circuit")
+    verdict = _tu_by_signed_colouring(rows, cols, entries, budget)
+    if verdict is not None:
+        return verdict
+    return _tu_by_circuit_search(IncidenceGraph.from_matrix(matrix), budget)
 
 
 # -- circuit transport under a contraction ----------------------------------

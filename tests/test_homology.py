@@ -507,3 +507,22 @@ def test_torsion_oracle_matches_relative_homology_loop():
         assert (v.status, v.witness, v.budget_used) == (*expect, used)
         seen.add(v.status)
     assert seen == {True, False, None}
+
+
+def test_has_relative_torsion_rejects_negative_budget():
+    for mode in ("oracle", "tu"):
+        with pytest.raises(InvalidArgument, match="negative"):
+            has_relative_torsion(mobius(5), 1, mode=mode, budget=-1)
+        assert has_relative_torsion(mobius(5), 1, mode=mode,
+                                    budget=0).status is None
+
+
+def test_has_relative_torsion_tu_mode_reports_budget_used():
+    # the signed colouring of mobius(5)'s d_2 meets its conflict at the
+    # fifth signed edge; a budget of exactly that much reaches it too
+    v = has_relative_torsion(mobius(5), 1, mode="tu")
+    assert (v.status, v.budget_used) == (True, 5)
+    assert has_relative_torsion(mobius(5), 1, mode="tu",
+                                budget=5).status is True
+    assert has_relative_torsion(mobius(5), 1, mode="tu",
+                                budget=4).status is None
