@@ -8,8 +8,9 @@ from .complexes import (COLLAPSING, INJECTIVE, MIRROR, Chain, EdgeContraction,
                         faces_of, push_chain, push_sign)
 from .homology import (HomologyGroup, IntegerMatrix, SubcomplexPair, Verdict,
                        boundary_matrix, enumerate_pure_pairs,
-                       has_relative_torsion, homology_group, is_pure,
-                       matrix_rank, relative_boundary_matrix,
+                       has_relative_torsion, homology_group,
+                       homology_groups, is_pure, matrix_rank,
+                       relative_boundary_matrix,
                        relative_homology_group, smith_normal_form, snf_solve)
 from .ohcp import (LinearProgram, LPResult, LPSolution, OHCPInstance,
                    formulate, solve_ilp, solve_lp_exact, solve_ohcp_ilp,

@@ -97,6 +97,17 @@ class SimplicialComplex:
         self.weights = w
 
     @classmethod
+    def _contracted(cls, simplices: frozenset, weights: dict,
+                    cofaces: dict) -> "SimplicialComplex":
+        """The target of contract_edge, from parts that are already
+        canonical, face-closed and consistent; skips __init__'s checks."""
+        cx = cls.__new__(cls)
+        cx.simplices = simplices
+        cx.weights = weights
+        cx._cofaces = cofaces
+        return cx
+
+    @classmethod
     def from_maximal(cls, simplices: Iterable[Iterable[int]],
                      weights: Optional[Mapping] = None) -> "SimplicialComplex":
         """Build from generators; the face closure is taken automatically."""
@@ -164,9 +175,11 @@ class SimplicialComplex:
 
     @cached_property
     def _cofaces(self) -> dict:
-        """Vertex -> every simplex containing it.  Built on the first star or
-        link query, not in __init__: most complexes (homology inputs, oracle
-        pairs) never make one."""
+        """Vertex -> every simplex containing it.  A complex built by
+        __init__ builds it on its first star or link query: most (homology
+        inputs, oracle pairs) never make one.  A contraction target inherits
+        its source's index and shares the entries of vertices outside the
+        closed star of b, so an entry must never be mutated."""
         index: dict = {}
         for s in self.simplices:
             for v in s:
@@ -297,6 +310,14 @@ def contract_edge(complex: SimplicialComplex, edge: Iterable[int],
     """Contract an edge, identifying vertex b with vertex a.
 
     By default the smaller endpoint survives; pass keep= to override.
+
+    Only St b, read from the coface index, is mapped: the target is
+    (K - St b) plus the images of St b.  A collapsing simplex maps to its
+    face without b and a mirror to its twin, both already in K - St b, so
+    the new simplices are the injective images.  The image of a
+    face-closed complex is face-closed, so the target skips validation,
+    and it inherits the source's coface index: vertices outside the
+    closed star of b share their entries, the others get new ones.
     """
     e = complex._edge(edge)
     if keep is None:
@@ -307,20 +328,42 @@ def contract_edge(complex: SimplicialComplex, edge: Iterable[int],
     else:
         raise InvalidArgument(f"keep={keep} is not an endpoint of {e}")
 
-    wdim = len(next(iter(complex.weights))) if complex.weights else 0
-    images = set()
+    index = complex._cofaces
+    star_b = index[b]
+    source = complex.simplices
+    kept = source.difference(star_b)
+    new = []
+    for s in star_b:
+        if a not in s:
+            img = _image(s, a, b)
+            if img not in source:
+                new.append(img)
+
+    cofaces = dict(index)
+    del cofaces[b]
+    for v in {v for s in star_b for v in s if v != b}:
+        cofaces[v] = ([t for t in index[v] if b not in t]
+                      + [t for t in new if v in t])
+
     weights = {}
-    for s in complex.simplices:
-        img = _image(s, a, b)
-        images.add(img)
-        if len(s) == wdim == len(img):
-            w = complex.weight(s)
-            # mirror merges keep the smaller weight
-            if img not in weights or w < weights[img]:
+    if complex.weights:
+        wdim = len(next(iter(complex.weights)))
+        # every simplex of the weighted dimension keeps an explicit weight,
+        # 1 where the source had none: serialize_scx prints it
+        for s in kept:
+            if len(s) == wdim:
+                weights[s] = complex.weight(s)
+        for s in star_b:
+            if len(s) == wdim and a not in s:
+                img = _image(s, a, b)
+                w = complex.weight(s)
+                if img in source:
+                    # a mirror merge keeps the smaller weight of the two
+                    # preimages, an unweighted twin counting as 1
+                    w = min(w, complex.weight(img))
                 weights[img] = w
-    return EdgeContraction(source=complex,
-                           target=SimplicialComplex(images, weights),
-                           a=a, b=b)
+    target = SimplicialComplex._contracted(kept.union(new), weights, cofaces)
+    return EdgeContraction(source=complex, target=target, a=a, b=b)
 
 
 def push_sign(simplex: Simplex, b: int, a: int) -> int:

@@ -280,15 +280,14 @@ class HomologyGroup:
         return {"p": p, "betti": self.betti, "torsion": list(self.torsion_coeffs)}
 
 
-def _homology(n_p: int, d_p: list, d_next: list) -> HomologyGroup:
-    """H_p from the number of p-cells and the entries of [d_p] and
-    [d_{p+1}] (an empty list for a zero map): the betti number is
+def _homology(n_p: int, diag_p: list, diag_next: list) -> HomologyGroup:
+    """H_p from the number of p-cells and the invariant factors of [d_p]
+    and [d_{p+1}] (an empty list for a zero map): the betti number is
     n_p - rank d_p - rank d_{p+1}, the torsion the invariant factors of
-    d_{p+1} above 1.  Both ranks are read off the Smith normal form."""
-    diag = smith_normal_form(d_next)
+    d_{p+1} above 1."""
     return HomologyGroup(
-        betti=n_p - len(smith_normal_form(d_p)) - len(diag),
-        torsion_coeffs=[d for d in diag if d > 1])
+        betti=n_p - len(diag_p) - len(diag_next),
+        torsion_coeffs=[d for d in diag_next if d > 1])
 
 
 def homology_group(complex: SimplicialComplex, p: int) -> HomologyGroup:
@@ -297,8 +296,20 @@ def homology_group(complex: SimplicialComplex, p: int) -> HomologyGroup:
         raise InvalidArgument(f"p={p} out of range for dim {complex.dim}")
     return _homology(
         len(complex.p_simplices(p)),
-        boundary_matrix(complex, p).entries if p >= 1 else [],
-        boundary_matrix(complex, p + 1).entries if p < complex.dim else [])
+        smith_normal_form(boundary_matrix(complex, p).entries
+                          if p >= 1 else []),
+        smith_normal_form(boundary_matrix(complex, p + 1).entries
+                          if p < complex.dim else []))
+
+
+def homology_groups(complex: SimplicialComplex) -> list:
+    """H_p for every 0 <= p <= dim, reducing each boundary matrix once:
+    [d_p] serves both H_{p-1} and H_p."""
+    n = complex.dim
+    diags = ([[]] + [smith_normal_form(boundary_matrix(complex, p).entries)
+                     for p in range(1, n + 1)] + [[]])
+    return [_homology(len(complex.p_simplices(p)), diags[p], diags[p + 1])
+            for p in range(n + 1)]
 
 
 # -- relative homology on pure (p+1, p) pairs -------------------------------
@@ -348,8 +359,9 @@ def relative_homology_group(pair: SubcomplexPair) -> HomologyGroup:
     rel_p1 = relative_boundary_matrix(pair, p + 1)
     return _homology(
         len(rel_p1.rows),
-        relative_boundary_matrix(pair, p).entries if p >= 1 else [],
-        rel_p1.entries)
+        smith_normal_form(relative_boundary_matrix(pair, p).entries
+                          if p >= 1 else []),
+        smith_normal_form(rel_p1.entries))
 
 
 class Truncated:

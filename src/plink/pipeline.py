@@ -6,7 +6,7 @@ from typing import Optional
 
 from .complexes import (InvalidArgument, SimplicialComplex, contract_edge,
                         p_link_holds)
-from .homology import boundary_matrix, homology_group
+from .homology import boundary_matrix, homology_group, homology_groups
 from .tugraph import is_totally_unimodular
 
 FULL_LINK = "full-link"
@@ -70,8 +70,7 @@ def _gate_record(complex, edge, policy: GatePolicy) -> dict:
 
 
 def _snapshot(complex: SimplicialComplex) -> dict:
-    return {p: homology_group(complex, p).as_pair()
-            for p in range(complex.dim + 1)}
+    return {p: g.as_pair() for p, g in enumerate(homology_groups(complex))}
 
 
 def reduce(complex: SimplicialComplex, policy: GatePolicy,

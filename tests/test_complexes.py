@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +11,7 @@ from plink.complexes import (COLLAPSING, INJECTIVE, MIRROR, InvalidArgument,
                              push_chain, push_sign)
 from plink import pipeline
 from plink.fixtures import annulus, cone, mobius, random_complex
+from plink.scxio import serialize_scx
 
 simplex_st = st.sets(st.integers(0, 9), min_size=1, max_size=4).map(tuple)
 
@@ -294,6 +296,107 @@ def test_vertex_map_matches_reference_table():
     assert checked == {COLLAPSING, MIRROR, INJECTIVE}
 
 
+def full_remap(cx, a, b):
+    """Slow reference oracle for the target of contracting b into a: every
+    simplex re-mapped, mirror weights merged to the smaller (an unweighted
+    simplex counting as 1), and the result validated by the constructor."""
+    wdim = len(next(iter(cx.weights))) if cx.weights else 0
+    images, weights = set(), {}
+    for s in cx.simplices:
+        img = tuple(sorted({a if v == b else v for v in s}))
+        images.add(img)
+        if len(s) == wdim == len(img):
+            w = cx.weight(s)
+            if img not in weights or w < weights[img]:
+                weights[img] = w
+    return SimplicialComplex(images, weights)
+
+
+def assert_index_is_fresh(cx):
+    """The coface index equals one built from scratch, without duplicates."""
+    index = cx._cofaces
+    assert all(len(entry) == len(set(entry)) for entry in index.values())
+    assert {v: set(entry) for v, entry in index.items()} == {
+        v: {s for s in cx.simplices if v in s} for v in cx.vertices}
+
+
+WEIGHT_VALUES = (Fraction(1, 3), Fraction(1, 2), Fraction(2), Fraction(3))
+
+
+def weightings(cx, r):
+    """The complex unweighted, then with weights on some edges, on every
+    edge and on some vertices; weights above and below the default 1."""
+    yield cx
+    edges, verts = cx.p_simplices(1), cx.p_simplices(0)
+    for pool, share in ((edges, 0.5), (edges, 1.0), (verts, 0.5)):
+        w = {s: r.choice(WEIGHT_VALUES) for s in pool if r.random() < share}
+        if w:
+            yield SimplicialComplex(cx.simplices, w)
+
+
+def mirror_cases(cx, a, b):
+    """(removed twin weighted, surviving twin weighted) for each mirror pair
+    of the weighted dimension."""
+    if not cx.weights:
+        return set()
+    wdim = len(next(iter(cx.weights)))
+    out = set()
+    for s in cx.simplices:
+        if len(s) == wdim and b in s and a not in s:
+            twin = tuple(sorted(a if v == b else v for v in s))
+            if twin in cx.simplices:
+                out.add((s in cx.weights, twin in cx.weights))
+    return out
+
+
+def test_star_local_contraction_matches_full_remap():
+    r = random.Random(14)
+    complexes = [annulus(4), annulus(6), mobius(5), mobius(7), cone(4)]
+    complexes += [random_complex(r, n_vertices=7, max_dim=3, n_generators=5)
+                  for _ in range(30)]
+    covered = set()
+    for base in complexes:
+        for cx in weightings(base, r):
+            for e in cx.edges:
+                for keep in e:
+                    before = {v: list(entry)
+                              for v, entry in cx._cofaces.items()}
+                    ct = contract_edge(cx, e, keep=keep)
+                    ref = full_remap(cx, ct.a, ct.b)
+                    assert ct.target.simplices == ref.simplices
+                    assert ct.target.weights == ref.weights
+                    assert serialize_scx(ct.target) == serialize_scx(ref)
+                    assert_index_is_fresh(ct.target)
+                    # the shared entries of the source are never mutated
+                    assert cx._cofaces == before
+                    covered |= mirror_cases(cx, ct.a, ct.b)
+    assert covered == set(itertools.product((True, False), repeat=2))
+
+
+@pytest.mark.parametrize("gate", [
+    pipeline.GatePolicy(scope=pipeline.FULL_LINK),
+    pipeline.GatePolicy(required_conditions=frozenset({1}),
+                        scope=pipeline.LISTED_P_ONLY)], ids=["full", "p=1"])
+def test_reduce_chain_matches_full_remap_and_inherits_fresh_index(gate):
+    r = random.Random(41)
+    complexes = [annulus(8), mobius(9)]
+    complexes += [random_complex(r, n_vertices=9, max_dim=3, n_generators=7)
+                  for _ in range(12)]
+    steps = 0
+    for base in complexes:
+        for cx in weightings(base, r):
+            for order in ("lexicographic", "lightest-first"):
+                final, log = pipeline.reduce(cx, gate, order=order)
+                assert_index_is_fresh(final)
+                ref = cx
+                for edge in log.contracted_edges:
+                    ref = full_remap(ref, *edge)
+                assert final.simplices == ref.simplices
+                assert final.weights == ref.weights
+                steps += len(log.contracted_edges)
+    assert steps > 200
+
+
 def test_vertex_map_rejects_foreign_simplices():
     ct = contract_edge(SimplicialComplex.from_maximal([(0, 1, 2)]), (0, 1))
     for s in ((5, 6), (2, 1), (0, 1, 2, 3)):
@@ -311,7 +414,12 @@ def test_contract_target_is_face_closed_and_smaller():
         e = r.choice(cx.edges)
         tgt = contract_edge(cx, e).target
         assert len(tgt.vertices) == len(cx.vertices) - 1
-        # constructor would have raised if not face-closed
+        assert len(tgt.simplices) < len(cx.simplices)
+        for s in tgt.simplices:
+            assert s == canon(s)
+            if len(s) > 1:
+                assert all(s[:j] + s[j + 1:] in tgt.simplices
+                           for j in range(len(s)))
 
 
 def test_contract_weight_merge_takes_minimum():

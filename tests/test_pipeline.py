@@ -1,7 +1,11 @@
+import random
+
 import pytest
 
-from plink.complexes import InvalidArgument, SimplicialComplex
-from plink.fixtures import annulus, cone, mobius, punctured_mobius
+from plink import homology
+from plink.complexes import InvalidArgument, SimplicialComplex, contract_edge
+from plink.fixtures import (annulus, cone, mobius, mobius_boundary,
+                            punctured_mobius, random_complex)
 from plink.homology import homology_group
 from plink.pipeline import (FULL_LINK, LISTED_P_ONLY, GatePolicy, reduce,
                             report, scan_edges)
@@ -79,6 +83,50 @@ def test_reduce_snapshots_track_homology():
     # homology of the annulus (a circle, up to homotopy) is preserved
     for r in contracted:
         assert r.snapshot[1] == (1, ())
+
+
+def projective_plane(k: int) -> SimplicialComplex:
+    """mobius(k) with a cone from vertex k over its boundary circle:
+    H_1 = Z/2."""
+    return SimplicialComplex.from_maximal(
+        list(mobius(k).simplices)
+        + [e + (k,) for e in mobius_boundary(k).edges])
+
+
+RP2 = projective_plane(7)
+
+
+def test_reduce_snapshots_equal_per_p_homology():
+    r = random.Random(12)
+    complexes = [RP2, mobius(7), annulus(6)]
+    complexes += [random_complex(r, n_vertices=9, max_dim=3, n_generators=7)
+                  for _ in range(10)]
+    torsion = set()
+    for cx in complexes:
+        for gate in (GatePolicy(scope=FULL_LINK),
+                     GatePolicy(required_conditions=frozenset({1}),
+                                scope=LISTED_P_ONLY)):
+            _, log = reduce(cx, gate, snapshots=True)
+            current = cx
+            for record in log.records:
+                if record.action != "contracted":
+                    continue
+                current = contract_edge(current, record.edge).target
+                expected = {p: homology_group(current, p).as_pair()
+                            for p in range(current.dim + 1)}
+                assert record.snapshot == expected
+                torsion.update(t for _, t in expected.values() if t)
+    assert (2,) in torsion
+
+
+def test_homology_groups_reduce_each_boundary_matrix_once(monkeypatch):
+    calls = []
+    snf = homology.smith_normal_form
+    monkeypatch.setattr(homology, "smith_normal_form",
+                        lambda entries: calls.append(entries) or snf(entries))
+    groups = homology.homology_groups(RP2)
+    assert len(calls) == RP2.dim
+    assert [g.as_pair() for g in groups] == [(1, ()), (0, (2,)), (0, ())]
 
 
 def test_reduce_gated_p_only_contracts_despite_full_failure():
