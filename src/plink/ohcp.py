@@ -1,5 +1,6 @@
 """Optimal homologous chain instances solved by exact rational linear
-programming, with a branch-and-bound integer fallback.
+programming, with a branch-and-bound integer fallback: a node is its parent
+plus one bound row, re-optimised by dual simplex.
 
 No floating point anywhere: the simplex pivots an integer tableau over one
 common denominator with Bland's rule, so optima like 17/40 are exact.
@@ -43,11 +44,45 @@ class LPResult:
     status: str
     values: Optional[list] = None   # Fractions, length N
     objective: Optional[Fraction] = None
+    # the final tableau of an optimum, which branch and bound warm-starts
+    _tableau: Optional["_Tableau"] = field(default=None, repr=False,
+                                           compare=False)
 
 
 def _integral(values: list, factor: int) -> list:
     """The ints factor * v; factor is a multiple of each v's denominator."""
     return [v.numerator * (factor // v.denominator) for v in values]
+
+
+@dataclass
+class _Tableau:
+    """A fraction-free simplex tableau: T is d times the rational one, d > 0
+    the last pivot, objective rows last; basis[i] is the column basic in row
+    i.  cost_scale clears the denominators of the costs."""
+    T: list
+    basis: list
+    d: int
+    cost_scale: int
+
+    def pivot(self, ri: int, cj: int) -> None:
+        """One Bareiss step on every other row (Edmonds 1967)."""
+        T = self.T
+        others = [i for i in range(len(T)) if i != ri]
+        self.d = bareiss_step(T, ri, cj, self.d, others, range(len(T[ri])))
+        if self.d < 0:  # artificials driven out, or a dual simplex pivot
+            T[:] = [[-v for v in row] for row in T]
+            self.d = -self.d
+        self.basis[ri] = cj
+
+    def optimum(self) -> LPResult:
+        """The basic solution and its cost, read off an optimal tableau."""
+        T, d = self.T, self.d
+        values = [Fraction(0)] * (len(T[-1]) - 1)
+        for i, j in enumerate(self.basis):
+            values[j] = Fraction(T[i][-1], d)
+        return LPResult(status=OPTIMAL, values=values,
+                        objective=Fraction(-T[-1][-1], d * self.cost_scale),
+                        _tableau=self)
 
 
 def solve_lp_exact(lp: LinearProgram) -> LPResult:
@@ -57,10 +92,9 @@ def solve_lp_exact(lp: LinearProgram) -> LPResult:
     phase-1 objective row: reduced costs, and minus the objective value in
     the last cell.  Pivots update them like every other row.
 
-    The tableau is fraction-free: d times the rational one, d > 0 the last
-    pivot, and a pivot is one Bareiss step on every other row (Edmonds
-    1967).  A common factor of the constraint rows (artificials stay 1) and
-    one of the costs only rescale variables and costs: the pivots stay.
+    The tableau is fraction-free (``_Tableau``).  A common factor of the
+    constraint rows (artificials stay 1) and one of the costs only rescale
+    variables and costs: the pivots stay.
     """
     m = len(lp.rows)
     n = len(lp.objective)
@@ -71,21 +105,12 @@ def solve_lp_exact(lp: LinearProgram) -> LPResult:
         f = -scale if b < 0 else scale
         T.append(_integral(row, f) + [int(k == i) for k in range(m)]
                  + _integral([b], f))
-    basis = [n + i for i in range(m)]
     T.append(_integral(lp.objective, cost_scale) + [0] * (m + 1))
     # phase 1 minimises the sum of the artificials, priced out of the basis
     T.append([-sum(row[j] for row in T[:m]) for j in range(n)]
              + [0] * m + [-sum(row[-1] for row in T[:m])])
-    d = 1
-
-    def pivot(ri, cj):
-        nonlocal d
-        others = [i for i in range(len(T)) if i != ri]
-        d = bareiss_step(T, ri, cj, d, others, range(len(T[ri])))
-        if d < 0:       # only while artificials are driven out
-            T[:] = [[-v for v in row] for row in T]
-            d = -d
-        basis[ri] = cj
+    tab = _Tableau(T, [n + i for i in range(m)], 1, cost_scale)
+    basis = tab.basis
 
     def optimize(ncols):
         """Pivot on the last row's costs; False when unbounded."""
@@ -103,7 +128,7 @@ def solve_lp_exact(lp: LinearProgram) -> LPResult:
                          - T[leaving][-1] * T[i][entering])
                 if cross < 0 or (cross == 0 and basis[i] < basis[leaving]):
                     leaving = i
-            pivot(leaving, entering)
+            tab.pivot(leaving, entering)
 
     optimize(n + m)
     if T.pop()[-1]:
@@ -113,7 +138,7 @@ def solve_lp_exact(lp: LinearProgram) -> LPResult:
         if basis[i] >= n:
             for j in range(n):
                 if T[i][j]:
-                    pivot(i, j)
+                    tab.pivot(i, j)
                     break
             else:
                 del T[i]
@@ -122,46 +147,72 @@ def solve_lp_exact(lp: LinearProgram) -> LPResult:
         del row[n:-1]
     if not optimize(n):
         return LPResult(status=UNBOUNDED)
-    values = [Fraction(0)] * n
-    for i, j in enumerate(basis):
-        values[j] = Fraction(T[i][-1], d)
-    return LPResult(status=OPTIMAL, values=values,
-                    objective=Fraction(-T[-1][-1], d * cost_scale))
+    return tab.optimum()
 
 
-def _bounded(lp: LinearProgram, var: int, sense: int,
-             val: int) -> LinearProgram:
-    """lp plus one row z[var] + sense * slack = val with a new slack column:
-    sense 1 bounds z[var] <= val, sense -1 bounds z[var] >= val."""
-    row = [0] * len(lp.objective) + [sense]
-    row[var] = 1
-    return LinearProgram(objective=lp.objective + [0],
-                         rows=[r + [0] for r in lp.rows] + [row],
-                         rhs=lp.rhs + [val])
+def _branch(parent: _Tableau, var: int, sense: int, val: int) -> LPResult:
+    """The parent's optimum plus one row z[var] + sense * s = val, with a new
+    slack column s: sense 1 bounds z[var] <= val, sense -1 bounds
+    z[var] >= val.  Re-optimised by dual simplex from the parent's tableau.
+
+    z[var] is basic in row r, so the new row over the nonbasic columns is
+    sense * (d e_var - T[r]) with d at s, and the rhs sense * (d val -
+    T[r][-1]) < 0.  The reduced costs stay >= 0 (dual feasible).  Bland's
+    rule for the dual: the row of least basic index among negative rhs
+    entries leaves, the column of least ratio (lowest index on ties) enters;
+    a leaving row with no negative entry makes the node INFEASIBLE.  No
+    node can be unbounded.
+    """
+    d = parent.d
+    r = parent.basis.index(var)
+    rr = parent.T[r]
+    bound = ([sense * (d * (j == var) - v) for j, v in enumerate(rr[:-1])]
+             + [d, sense * (d * val - rr[-1])])
+    T = [row[:-1] + [0, row[-1]] for row in parent.T]
+    T.insert(-1, bound)
+    tab = _Tableau(T, parent.basis + [len(rr) - 1], d, parent.cost_scale)
+    basis = tab.basis
+    while True:
+        rows = [i for i in range(len(basis)) if T[i][-1] < 0]
+        if not rows:
+            return tab.optimum()
+        leaving = min(rows, key=basis.__getitem__)
+        lr, cost = T[leaving], T[-1]
+        entering = None
+        for j, a in enumerate(lr[:-1]):
+            # the ratios cost[j] / -a, cross-multiplied
+            if a < 0 and (entering is None
+                          or cost[j] * lr[entering] > cost[entering] * a):
+                entering = j
+        if entering is None:
+            return LPResult(status=INFEASIBLE)
+        tab.pivot(leaving, entering)
 
 
 def solve_ilp(lp: LinearProgram, budget: Optional[int] = None) -> LPResult:
     """Branch and bound on fractional variables with exact LP relaxations.
 
-    A node is an LP: its parent plus one bound row (``_bounded``).  Branches
-    on the most fractional variable, ties by lowest index; depth first, floor
-    branch first.  A node whose relaxation is infeasible is pruned.  Only
-    the root can be unbounded, since a child of a bounded LP is bounded; then
-    the ILP is unbounded iff it has an integral point (Meyer's theorem for
-    rational data).  There is none if rows . z = rhs has no integral
-    solution even without z >= 0 (``snf_solve``): INFEASIBLE.  Else the same
-    search on a zero objective, with the budget left, decides UNBOUNDED,
-    INFEASIBLE or BUDGET_EXCEEDED; that search may never end without a
-    budget.  budget caps the number of LP solves.
+    The root is ``solve_lp_exact``; a node is its parent plus one bound row,
+    re-optimised by dual simplex from the parent's final tableau
+    (``_branch``).  Branches on the most fractional variable, ties by lowest
+    index; depth first, floor branch first.  A node whose relaxation is
+    infeasible is pruned.  Only the root can be unbounded, since a child of
+    a bounded LP is bounded; then the ILP is unbounded iff it has an
+    integral point (Meyer's theorem for rational data).  There is none if
+    rows . z = rhs has no integral solution even without z >= 0
+    (``snf_solve``): INFEASIBLE.  Else the same search on a zero objective,
+    with the budget left, decides UNBOUNDED, INFEASIBLE or BUDGET_EXCEEDED;
+    that search may never end without a budget.  budget caps the number of
+    node solves, the root's included.
     """
     n = len(lp.objective)
     solves = 0
     incumbent: Optional[LPResult] = None
-    stack = [lp]
+    stack = [None]  # the root; a child is (parent tableau, var, sense, val)
     while stack and (budget is None or solves < budget):
         node = stack.pop()
         solves += 1
-        res = solve_lp_exact(node)
+        res = solve_lp_exact(lp) if node is None else _branch(*node)
         if res.status == UNBOUNDED:
             scale = math.lcm(*(v.denominator for r in lp.rows + [lp.rhs]
                                for v in r))
@@ -184,8 +235,8 @@ def solve_ilp(lp: LinearProgram, budget: Optional[int] = None) -> LPResult:
                                  objective=res.objective)
             continue
         v = values[frac_var]
-        stack.append(_bounded(node, frac_var, -1, math.ceil(v)))
-        stack.append(_bounded(node, frac_var, 1, math.floor(v)))
+        stack.append((res._tableau, frac_var, -1, math.ceil(v)))
+        stack.append((res._tableau, frac_var, 1, math.floor(v)))
     result = incumbent or LPResult(status=INFEASIBLE)
     if stack:   # the budget ran out with nodes left to solve
         result.status = BUDGET_EXCEEDED

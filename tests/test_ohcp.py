@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -11,7 +12,7 @@ from plink.complexes import (InvalidArgument, SimplicialComplex, boundary_of,
                              chain_boundary)
 from plink.fixtures import (annulus, cone, mobius, mobius_ohcp_instance,
                             random_complex)
-from plink.homology import boundary_matrix
+from plink.homology import bareiss_step, boundary_matrix
 from plink.ohcp import (BUDGET_EXCEEDED, INFEASIBLE, OPTIMAL, UNBOUNDED,
                         LinearProgram, OHCPInstance, formulate, solve_ilp,
                         solve_lp_exact, solve_ohcp_ilp, solve_ohcp_lp,
@@ -232,6 +233,154 @@ def test_ilp_unbounded_relaxation_needs_an_integral_point(deadline):
     assert res.status == BUDGET_EXCEEDED
 
 
+# -- warm start against cold-start oracles ----------------------------------
+
+def bounded(lp, var, sense, val):
+    """lp plus one row z[var] + sense * slack = val with a new slack column:
+    sense 1 bounds z[var] <= val, sense -1 bounds z[var] >= val.  The
+    cold-start form of a branch-and-bound child."""
+    row = [0] * len(lp.objective) + [sense]
+    row[var] = 1
+    return LinearProgram(objective=lp.objective + [0],
+                         rows=[r + [0] for r in lp.rows] + [row],
+                         rhs=lp.rhs + [val])
+
+
+def cold_ilp(lp):
+    """Branch and bound in solve_ilp's order, every node an LP solved from
+    scratch: (status, objective).  For LPs with a bounded relaxation."""
+    n = len(lp.objective)
+    best, stack = None, [lp]
+    while stack:
+        node = stack.pop()
+        res = solve_lp_exact(node)
+        assert res.status != UNBOUNDED
+        if res.status != OPTIMAL or (best is not None
+                                     and res.objective >= best):
+            continue
+        values = res.values[:n]
+        dists = [abs(v - round(v)) for v in values]
+        j = max(range(n), key=dists.__getitem__)
+        if not dists[j]:
+            best = res.objective
+            continue
+        stack.append(bounded(node, j, -1, math.ceil(values[j])))
+        stack.append(bounded(node, j, 1, math.floor(values[j])))
+    return (INFEASIBLE, None) if best is None else (OPTIMAL, best)
+
+
+def exact_bareiss_step(a, k, c, prev, rows, cols):
+    """bareiss_step that fails unless every division is exact."""
+    for i in rows:
+        for j in cols:
+            assert (a[i][j] * a[k][c] - a[i][c] * a[k][j]) % prev == 0
+    return bareiss_step(a, k, c, prev, rows, cols)
+
+
+def bounded_ilp(r):
+    """A seeded ILP whose first row is positive with rhs >= 0, so every
+    variable is bounded; small costs with repeats make ties common."""
+    m, n = r.randint(1, 3), r.randint(2, 6)
+    rows = [[F(r.randint(1, 3)) for _ in range(n)]]
+    rows += [[F(r.randint(-3, 3)) for _ in range(n)] for _ in range(m - 1)]
+    rhs = [F(r.randint(0, 8))] + [F(r.randint(-3, 6)) for _ in range(m - 1)]
+    obj = [F(r.randint(-2, 3), r.choice([1, 1, 2])) for _ in range(n)]
+    return LinearProgram(objective=obj, rows=rows, rhs=rhs)
+
+
+def walk_warm_children(lp, seen, limit=60):
+    """Branch as solve_ilp does from every fractional node, at most limit
+    children: each warm child must give the status and objective of its
+    cold-start LP, and its values must be feasible there."""
+    n = len(lp.objective)
+    root = solve_lp_exact(lp)
+    stack = [(root, lp)] if root.status == OPTIMAL else []
+    while stack and limit > 0:
+        res, node = stack.pop()
+        values = res.values[:n]
+        dists = [abs(v - round(v)) for v in values]
+        var = max(range(n), key=dists.__getitem__)
+        if not dists[var]:
+            continue
+        tab = res._tableau
+        r = tab.basis.index(var)
+        for sense, val in ((-1, math.ceil(values[var])),
+                           (1, math.floor(values[var]))):
+            limit -= 1
+            cold_lp = bounded(node, var, sense, val)
+            warm = ohcp._branch(tab, var, sense, val)
+            cold = solve_lp_exact(cold_lp)
+            assert (warm.status, warm.objective) == (cold.status,
+                                                     cold.objective)
+            seen[warm.status] += 1
+            # a tie for the first entering column: two columns of the
+            # bound row reach the least ratio
+            entries = [sense * (tab.d * (j == var) - v)
+                       for j, v in enumerate(tab.T[r][:-1])]
+            ratios = [F(tab.T[-1][j], -e) for j, e in enumerate(entries)
+                      if e < 0]
+            seen["tie"] += bool(ratios) and ratios.count(min(ratios)) > 1
+            if warm.status == OPTIMAL:
+                z = warm.values
+                assert all(v >= 0 for v in z)
+                for row, b in zip(cold_lp.rows, cold_lp.rhs):
+                    assert sum(a * v for a, v in zip(row, z)) == b
+                assert warm.objective == sum(
+                    c * v for c, v in zip(cold_lp.objective, z))
+                stack.append((warm, cold_lp))
+
+
+def test_warm_children_match_cold_solves_on_seeded_ilps(monkeypatch,
+                                                        deadline):
+    deadline(30)
+    monkeypatch.setattr(ohcp, "bareiss_step", exact_bareiss_step)
+    r = random.Random(15)
+    seen = {OPTIMAL: 0, INFEASIBLE: 0, "tie": 0}
+    for _ in range(150):
+        walk_warm_children(bounded_ilp(r), seen)
+    assert min(seen.values()) > 0, seen
+
+
+def test_warm_children_match_cold_solves_on_mobius(deadline):
+    deadline(30)
+    seen = {OPTIMAL: 0, INFEASIBLE: 0, "tie": 0}
+    walk_warm_children(formulate(mobius_ohcp_instance()), seen)
+    assert seen[OPTIMAL] >= 10
+
+
+def test_ilp_matches_cold_branch_and_bound(deadline):
+    deadline(30)
+    r = random.Random(1515)
+    statuses = set()
+    for _ in range(300):
+        lp = bounded_ilp(r)
+        res = solve_ilp(lp, budget=1000)
+        assert (res.status, res.objective) == cold_ilp(lp)
+        statuses.add(res.status)
+    assert statuses == {OPTIMAL, INFEASIBLE}
+
+
+def test_mobius_ilp_pivot_count_and_budget_statuses(monkeypatch, deadline):
+    # a cold start per node took 684 pivots over 21 nodes here
+    deadline(30)
+    pivots = 0
+
+    def counting(*args):
+        nonlocal pivots
+        pivots += 1
+        return bareiss_step(*args)
+
+    monkeypatch.setattr(ohcp, "bareiss_step", counting)
+    inst = mobius_ohcp_instance()
+    sol = solve_ohcp_ilp(inst, budget=100)
+    assert sol.status == OPTIMAL and sol.objective == F(13, 10)
+    assert pivots <= 100
+    sol = solve_ohcp_ilp(inst, budget=1)
+    assert sol.status == BUDGET_EXCEEDED and not sol.chain
+    sol = solve_ohcp_ilp(inst, budget=2)
+    assert sol.status == BUDGET_EXCEEDED and sol.objective == F(13, 10)
+
+
 # -- OHCP ---------------------------------------------------------------------
 
 def test_ohcp_instance_validates_chain():
@@ -261,35 +410,36 @@ def test_ohcp_certificate_identity():
     assert diff == chain_boundary(sol.certificate)
 
 
-def tamper_first_y(monkeypatch, cx):
-    """Make every LP solve add 1 to y+ of the first triangle: one changed
-    coefficient of y breaks x = c + dy."""
+def tamper_first_y(monkeypatch, cx, owner, name):
+    """Make every result read through owner.name add 1 to y+ of the first
+    triangle: one changed coefficient of y breaks x = c + dy."""
     first_y = 2 * len(cx.p_simplices(1))
-    solve = ohcp.solve_lp_exact
+    read = getattr(owner, name)
 
-    def tampered(lp):
-        res = solve(lp)
+    def tampered(*args):
+        res = read(*args)
         res.values[first_y] += 1
         return res
 
-    monkeypatch.setattr(ohcp, "solve_lp_exact", tampered)
+    monkeypatch.setattr(owner, name, tampered)
 
 
 def test_ohcp_rejects_tampered_certificate(monkeypatch):
     cx = annulus(4)
     chain = {(0, 1): 1, (1, 2): 1, (2, 3): 1, (0, 3): -1}
-    tamper_first_y(monkeypatch, cx)
+    tamper_first_y(monkeypatch, cx, ohcp, "solve_lp_exact")
     with pytest.raises(InvalidArgument, match="certificate identity"):
         solve_ohcp_lp(OHCPInstance(complex=cx, p=1, chain=chain))
 
 
 def test_ohcp_checks_budget_exceeded_incumbent(monkeypatch):
-    # two LP solves leave the weighted Moebius band's branch and bound
-    # with an integral incumbent and nodes still to solve
+    # two node solves leave the weighted Moebius band's branch and bound
+    # with an integral incumbent and nodes still to solve; the root and every
+    # warm-started node read their values off the final tableau
     inst = mobius_ohcp_instance()
     sol = solve_ohcp_ilp(inst, budget=2)
     assert sol.status == BUDGET_EXCEEDED and sol.chain
-    tamper_first_y(monkeypatch, inst.complex)
+    tamper_first_y(monkeypatch, inst.complex, ohcp._Tableau, "optimum")
     with pytest.raises(InvalidArgument, match="certificate identity"):
         solve_ohcp_ilp(inst, budget=2)
 
