@@ -7,6 +7,7 @@ stored vertices, so simplex identity is a pure set question.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -97,14 +98,17 @@ class SimplicialComplex:
         self.weights = w
 
     @classmethod
-    def _contracted(cls, simplices: frozenset, weights: dict,
-                    cofaces: dict) -> "SimplicialComplex":
+    def _contracted(cls, simplices: frozenset, weights: dict, cofaces: dict,
+                    edges: Optional[list]) -> "SimplicialComplex":
         """The target of contract_edge, from parts that are already
-        canonical, face-closed and consistent; skips __init__'s checks."""
+        canonical, face-closed and consistent; skips __init__'s checks.
+        A None edge list is built on first use."""
         cx = cls.__new__(cls)
         cx.simplices = simplices
         cx.weights = weights
         cx._cofaces = cofaces
+        if edges is not None:
+            cx._edges = edges
         return cx
 
     @classmethod
@@ -133,9 +137,17 @@ class SimplicialComplex:
     def vertices(self) -> list[int]:
         return sorted(s[0] for s in self.simplices if len(s) == 1)
 
+    @cached_property
+    def _edges(self) -> list:
+        """The sorted edge list that edges copies.  A contraction target is
+        handed its source's list, edited around St b, if the source's list
+        was built; it is never mutated once stored."""
+        return self.p_simplices(1)
+
     @property
     def edges(self) -> list[Simplex]:
-        return self.p_simplices(1)
+        """All edges in canonical order, as a fresh list."""
+        return list(self._edges)
 
     def weight(self, simplex: Simplex) -> Fraction:
         """Weight of a simplex; unweighted simplices default to 1."""
@@ -227,16 +239,45 @@ class SimplicialComplex:
     def link_defect(self, edge: Iterable[int]) -> frozenset:
         """(Lk a && Lk b) minus Lk ab: the simplices that break the link
         condition of edge ab.  Lk ab is always a subset of Lk a && Lk b."""
-        e = self._edge(edge)
-        a, b = e
-        return (self.link([(a,)]) & self.link([(b,)])) - self.link([e])
+        return self._link_defect(self._edge(edge))
+
+    def _link_defect(self, edge: Simplex) -> frozenset:
+        """link_defect of an edge already known to be a canonical edge of
+        the complex, read in one pass over the smaller star.
+
+        With u the endpoint of the smaller star and v the other, a sigma
+        avoiding both lies in Lk u && Lk v iff sigma+u and sigma+v are in
+        K, and in Lk uv iff sigma+u+v is.  So each coface t of u without
+        v gives sigma = t - u, in the defect iff sigma+v is in K and t+v
+        is not: two lookups per coface.  The vertex u itself gives the
+        empty sigma, which t+v = uv always rules out.
+        """
+        u, v = edge
+        index = self._cofaces
+        if len(index[v]) < len(index[u]):
+            u, v = v, u
+        K = self.simplices
+        out = []
+        for t in index[u]:
+            if v in t:
+                continue
+            i = t.index(u)
+            sigma = t[:i] + t[i + 1:]
+            # v's slot in sigma, and in t, which holds u at i
+            j = bisect_left(sigma, v)
+            if sigma[:j] + (v,) + sigma[j:] not in K:
+                continue
+            k = j + (u < v)
+            if t[:k] + (v,) + t[k:] not in K:
+                out.append(sigma)
+        return frozenset(out)
 
     def satisfies_p_link(self, edge: Iterable[int], p: int) -> bool:
         """True iff p <= 0 or every (p-1)-simplex of Lk a && Lk b is in Lk ab."""
         e = self._edge(edge)
         if p <= 0:
             return True
-        return p_link_holds(self.link_defect(e), p)
+        return p_link_holds(self._link_defect(e), p)
 
     def satisfies_link_condition(self, edge: Iterable[int]) -> bool:
         """True iff Lk a && Lk b equals Lk ab as sets."""
@@ -317,7 +358,9 @@ def contract_edge(complex: SimplicialComplex, edge: Iterable[int],
     the new simplices are the injective images.  The image of a
     face-closed complex is face-closed, so the target skips validation,
     and it inherits the source's coface index: vertices outside the
-    closed star of b share their entries, the others get new ones.
+    closed star of b share their entries, the others get new ones.  If
+    the source's edge list was built, the target is handed a copy with
+    the edges of St b taken out and the new edges put in.
     """
     e = complex._edge(edge)
     if keep is None:
@@ -345,6 +388,16 @@ def contract_edge(complex: SimplicialComplex, edge: Iterable[int],
         cofaces[v] = ([t for t in index[v] if b not in t]
                       + [t for t in new if v in t])
 
+    edges = complex.__dict__.get("_edges")
+    if edges is not None:
+        edges = list(edges)
+        for s in star_b:
+            if len(s) == 2:
+                del edges[bisect_left(edges, s)]
+        for s in new:
+            if len(s) == 2:
+                insort(edges, s)
+
     weights = {}
     if complex.weights:
         wdim = len(next(iter(complex.weights)))
@@ -362,7 +415,8 @@ def contract_edge(complex: SimplicialComplex, edge: Iterable[int],
                     # preimages, an unweighted twin counting as 1
                     w = min(w, complex.weight(img))
                 weights[img] = w
-    target = SimplicialComplex._contracted(kept.union(new), weights, cofaces)
+    target = SimplicialComplex._contracted(kept.union(new), weights, cofaces,
+                                           edges)
     return EdgeContraction(source=complex, target=target, a=a, b=b)
 
 

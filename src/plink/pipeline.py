@@ -26,7 +26,7 @@ class GatePolicy:
             raise InvalidArgument(f"unknown scope {self.scope!r}")
 
     def passes(self, complex: SimplicialComplex, edge) -> bool:
-        return all(_gate_record(complex, edge, self).values())
+        return all(_gate_record(complex, complex._edge(edge), self).values())
 
 
 @dataclass
@@ -55,14 +55,15 @@ def scan_edges(complex: SimplicialComplex, max_p: int) -> dict:
     """Per-edge p-link verdicts for 0 <= p <= max_p."""
     out = {}
     for e in complex.edges:
-        defect = complex.link_defect(e)
+        defect = complex._link_defect(e)
         out[e] = {p: p_link_holds(defect, p) for p in range(max_p + 1)}
     return out
 
 
 def _gate_record(complex, edge, policy: GatePolicy) -> dict:
-    """The gate's verdicts for one edge, all read off one link defect."""
-    defect = complex.link_defect(edge)
+    """The gate's verdicts for one canonical edge of the complex, all read
+    off one link defect."""
+    defect = complex._link_defect(edge)
     if policy.scope == FULL_LINK:
         return {"full": not defect}
     return {p: p_link_holds(defect, p)

@@ -203,9 +203,10 @@ def test_criterion_07_tu_preserved_and_circuit_round_trips():
            f"{trips} circuit round trips ({trip_bad} bad)")
 
 
-def test_criterion_08_contraction_closes_lp_ilp_gap():
+def test_criterion_08_contraction_closes_lp_ilp_gap(deadline):
     # the weighted Moebius instance: fractional slide beats every integral
     # chain; contracting one link-respecting core edge closes the gap
+    deadline(10)     # about 0.02 s here; fails a search that never ends
     t0 = time.time()
     inst = mobius_ohcp_instance()
     lp = solve_ohcp_lp(inst)
@@ -233,7 +234,8 @@ def test_criterion_08_contraction_closes_lp_ilp_gap():
            f"(integral={integral}, TU={tu_after})")
 
 
-def test_criterion_09_lp_equals_ilp_on_tu_instances():
+def test_criterion_09_lp_equals_ilp_on_tu_instances(deadline):
+    deadline(20)     # about 0.1 s here; fails a search that never ends
     t0 = time.time()
     rng = random.Random(909)
     done = 0

@@ -54,6 +54,13 @@ def brute_link_condition(cx, e):
     return common == lk_ab
 
 
+def three_link_defect(cx, e):
+    """Reference for link_defect: (Lk a && Lk b) minus Lk ab, from three
+    single-simplex links read off the coface index."""
+    a, b = e
+    return (cx.link([(a,)]) & cx.link([(b,)])) - cx.link([e])
+
+
 def brute_gate_record(cx, edge, policy):
     if policy.scope == pipeline.FULL_LINK:
         return {"full": brute_link_condition(cx, edge)}
@@ -175,7 +182,7 @@ def test_indexed_link_kernel_matches_oracle(cx):
     assert cx.link(pair) == brute_link(cx, pair)
     for e in cx.edges:
         common, lk_ab = brute_edge_links(cx, e)
-        assert cx.link_defect(e) == common - lk_ab
+        assert cx.link_defect(e) == three_link_defect(cx, e) == common - lk_ab
         assert cx.satisfies_link_condition(e) == brute_link_condition(cx, e)
         for p in range(-1, cx.dim + 2):
             assert cx.satisfies_p_link(e, p) == brute_p_link(cx, e, p)
@@ -194,6 +201,81 @@ def test_reduce_log_matches_oracle_gates(gate, make, monkeypatch):
     assert fast_log == slow_log
     assert fast_final == slow_final
     assert fast_log.contracted_edges
+
+
+REDUCE_GATES = (
+    pipeline.GatePolicy(scope=pipeline.FULL_LINK),
+    pipeline.GatePolicy(required_conditions=frozenset({1, 2}),
+                        scope=pipeline.LISTED_P_ONLY))
+
+
+@pytest.fixture(scope="module")
+def reduce_targets():
+    """(target, handed_on) for every contraction made by seeded reduce runs
+    under both gates; handed_on tells whether the target held an edge list
+    the moment it was made.  The targets carry inherited coface indexes."""
+    r = random.Random(16)
+    bases = [annulus(6), mobius(7)]
+    bases += [random_complex(r, n_vertices=9, max_dim=dim, n_generators=6)
+              for dim in (2, 3, 4) for _ in range(4)]
+    out = []
+
+    def recording(complex, edge, keep=None):
+        ct = contract_edge(complex, edge, keep)
+        out.append((ct.target, "_edges" in ct.target.__dict__))
+        return ct
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "contract_edge", recording)
+        for base in bases:
+            for gate in REDUCE_GATES:
+                pipeline.reduce(base, gate)
+    return out
+
+
+def test_defect_kernel_matches_references_on_reduce_targets(reduce_targets):
+    pools, defects = set(), 0
+    for cx, _ in reduce_targets:
+        index = cx._cofaces
+        for e in cx.edges:
+            a, b = e
+            # the kernel reads the smaller star: both choices must occur
+            pools.add(len(index[b]) < len(index[a]))
+            common, lk_ab = brute_edge_links(cx, e)
+            defect = cx.link_defect(e)
+            assert defect == three_link_defect(cx, e) == common - lk_ab
+            defects += bool(defect)
+    assert pools == {True, False}
+    assert defects > 50
+
+
+def test_contraction_hands_on_sorted_edges(reduce_targets):
+    assert len(reduce_targets) > 100
+    for cx, handed_on in reduce_targets:
+        assert handed_on
+        assert cx.edges == sorted(s for s in cx.simplices if len(s) == 2)
+
+
+def test_edges_returns_a_fresh_list():
+    cx = mobius(7)
+    before = cx.edges
+    target = contract_edge(cx, before[0]).target
+    for c in (cx, target):
+        listed = c.edges
+        expected = list(listed)
+        listed.clear()
+        listed.append((98, 99))
+        assert c.edges == expected
+    assert cx.edges == before
+
+
+def test_contraction_of_unread_edges_builds_them_on_use():
+    cx = annulus(6)
+    target = contract_edge(cx, (0, 1)).target
+    # a one-off contraction does no edge work
+    assert "_edges" not in cx.__dict__
+    assert "_edges" not in target.__dict__
+    assert target.edges == sorted(s for s in target.simplices if len(s) == 2)
 
 
 # -- link conditions ----------------------------------------------------------
@@ -365,6 +447,7 @@ def test_star_local_contraction_matches_full_remap():
                     ref = full_remap(cx, ct.a, ct.b)
                     assert ct.target.simplices == ref.simplices
                     assert ct.target.weights == ref.weights
+                    assert ct.target.edges == ref.edges
                     assert serialize_scx(ct.target) == serialize_scx(ref)
                     assert_index_is_fresh(ct.target)
                     # the shared entries of the source are never mutated

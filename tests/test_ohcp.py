@@ -183,7 +183,10 @@ def test_ilp_matches_brute_force(case):
     costs = [sum(c * v for c, v in zip(obj, z)) for z in box
              if all(sum(a * v for a, v in zip(row, z)) == b
                     for row, b in zip(rows, rhs))]
-    res = solve_ilp(lp(obj, rows, rhs))
+    # every variable lies in [0, 6], so the search is finite: the worst of
+    # 5,000 drawn cases took 99 node solves.  A search that re-solves one
+    # node ends at the budget and fails the status check below.
+    res = solve_ilp(lp(obj, rows, rhs), budget=2000)
     if not costs:
         assert res.status == INFEASIBLE
     else:
@@ -485,7 +488,8 @@ def test_ohcp_top_dimension_chain_has_no_certificate():
     assert sol.certificate == {}
 
 
-def test_ohcp_lp_equals_ilp_on_tu_complexes(rng):
+def test_ohcp_lp_equals_ilp_on_tu_complexes(rng, deadline):
+    deadline(10)     # about 0.02 s here
     done = 0
     while done < 25:
         cx = random_complex(rng, n_vertices=6, max_dim=2, n_generators=4)
