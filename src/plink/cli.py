@@ -46,6 +46,15 @@ def _emit(payload, as_json: bool):
             print(f"{key}: {value}")
 
 
+def _write_scx(cx, output) -> None:
+    """Write a complex as scx text to the file output, or to stdout."""
+    text = scxio.serialize_scx(cx)
+    if output:
+        Path(output).write_text(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _exit(ok) -> int:
     """Exit code of an answer: True 0, False 1, None (inconclusive) 3."""
     if ok is None:
@@ -72,11 +81,7 @@ def cmd_link_check(args) -> int:
 def cmd_contract(args) -> int:
     cx = _load_scx(args.complex)
     contraction = contract_edge(cx, _edge(args.edge), keep=args.keep)
-    text = scxio.serialize_scx(contraction.target)
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write_scx(contraction.target, args.output)
     return EXIT_OK
 
 
@@ -158,11 +163,7 @@ def cmd_reduce(args) -> int:
     final, log = pipeline.reduce(cx, _gate(args.gate), order=args.order,
                                  max_steps=args.max_steps,
                                  snapshots=args.snapshots)
-    text = scxio.serialize_scx(final)
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write_scx(final, args.output)
     if args.log:
         records = [{"edge": list(r.edge),
                     "conditions": {str(k): v
@@ -182,12 +183,7 @@ def cmd_generate(args) -> int:
         params["k"] = args.k
     if args.n is not None:
         params["n"] = args.n
-    cx = fixtures.generate(args.name, **params)
-    text = scxio.serialize_scx(cx)
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write_scx(fixtures.generate(args.name, **params), args.output)
     return EXIT_OK
 
 

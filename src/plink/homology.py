@@ -388,16 +388,17 @@ def enumerate_pure_pairs(complex: SimplicialComplex, p: int,
     if not 0 <= p < complex.dim:
         raise InvalidArgument(f"p={p} out of range: pure pairs need "
                               f"0 <= p < dim {complex.dim}")
-    count = 0
+    spend = _Budget.of(budget).spend
     tops = complex.p_simplices(p + 1)
     for top_subset in _nonempty_subsets(tops):
         L = SimplicialComplex.from_maximal(top_subset)
         p_faces = L.p_simplices(p)
         for face_subset in _nonempty_subsets(p_faces):
-            if budget is not None and count >= budget:
+            try:
+                spend()
+            except _Spent:
                 yield TRUNCATED
                 return
-            count += 1
             yield SubcomplexPair(L=L,
                                  L0=SimplicialComplex.from_maximal(face_subset),
                                  p=p)
@@ -421,6 +422,35 @@ class Verdict:
         return self.status
 
 
+class _Spent(Exception):
+    """Unwinds a search whose _Budget is spent."""
+
+
+class _Budget:
+    """The work units an exponential search may spend: `limit` (None for no
+    limit) and `used` so far.  A nested search shares its caller's _Budget;
+    every public `budget` parameter takes an int, None or a _Budget."""
+    __slots__ = ("limit", "used")
+
+    def __init__(self, limit: Optional[int] = None):
+        if limit is not None and limit < 0:
+            raise InvalidArgument(f"budget {limit} is negative")
+        self.limit = limit
+        self.used = 0
+
+    @classmethod
+    def of(cls, budget) -> "_Budget":
+        """budget itself when it is a _Budget, else a new one of that limit."""
+        return budget if isinstance(budget, cls) else cls(budget)
+
+    def spend(self) -> None:
+        """Count one unit before its work; raise _Spent once limit units are
+        spent."""
+        if self.used == self.limit:
+            raise _Spent
+        self.used += 1
+
+
 def has_relative_torsion(complex: SimplicialComplex, p: int,
                          mode: str = "oracle",
                          budget: Optional[int] = None) -> Verdict:
@@ -436,8 +466,7 @@ def has_relative_torsion(complex: SimplicialComplex, p: int,
     if not 0 <= p < complex.dim:
         raise InvalidArgument(f"p={p} out of range: relative torsion needs "
                               f"0 <= p < dim {complex.dim}")
-    if budget is not None and budget < 0:
-        raise InvalidArgument(f"budget {budget} is negative")
+    budget = _Budget.of(budget)
     if mode == "tu":
         from .tugraph import is_totally_unimodular
         tu = is_totally_unimodular(boundary_matrix(complex, p + 1),
@@ -446,12 +475,11 @@ def has_relative_torsion(complex: SimplicialComplex, p: int,
         return Verdict(status, "tu", budget_used=tu.budget_used)
     if mode != "oracle":
         raise InvalidArgument(f"unknown mode {mode!r}")
-    used = 0
     for pair in enumerate_pure_pairs(complex, p, budget=budget):
         if isinstance(pair, Truncated):
-            return Verdict(None, "oracle", budget_used=used)
-        used += 1
+            return Verdict(None, "oracle", budget_used=budget.used)
         factors = smith_normal_form(relative_boundary_matrix(pair).entries)
         if any(f > 1 for f in factors):
-            return Verdict(True, "oracle", witness=pair, budget_used=used)
-    return Verdict(False, "oracle", budget_used=used)
+            return Verdict(True, "oracle", witness=pair,
+                           budget_used=budget.used)
+    return Verdict(False, "oracle", budget_used=budget.used)

@@ -14,7 +14,8 @@ from typing import Optional
 
 from .complexes import (Chain, InvalidArgument, SimplicialComplex, canon,
                         chain_boundary)
-from .homology import bareiss_step, boundary_matrix, snf_solve
+from .homology import (_Budget, _Spent, bareiss_step, boundary_matrix,
+                       snf_solve)
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -201,17 +202,20 @@ def solve_ilp(lp: LinearProgram, budget: Optional[int] = None) -> LPResult:
     integral point (Meyer's theorem for rational data).  There is none if
     rows . z = rhs has no integral solution even without z >= 0
     (``snf_solve``): INFEASIBLE.  Else the same search on a zero objective,
-    with the budget left, decides UNBOUNDED, INFEASIBLE or BUDGET_EXCEEDED;
+    sharing the budget, decides UNBOUNDED, INFEASIBLE or BUDGET_EXCEEDED;
     that search may never end without a budget.  budget caps the number of
     node solves, the root's included.
     """
     n = len(lp.objective)
-    solves = 0
+    budget = _Budget.of(budget)
     incumbent: Optional[LPResult] = None
     stack = [None]  # the root; a child is (parent tableau, var, sense, val)
-    while stack and (budget is None or solves < budget):
+    while stack:
+        try:
+            budget.spend()
+        except _Spent:
+            break
         node = stack.pop()
-        solves += 1
         res = solve_lp_exact(lp) if node is None else _branch(*node)
         if res.status == UNBOUNDED:
             scale = math.lcm(*(v.denominator for r in lp.rows + [lp.rhs]
@@ -220,8 +224,7 @@ def solve_ilp(lp: LinearProgram, budget: Optional[int] = None) -> LPResult:
                           _integral(lp.rhs, scale))
             if y is None or any(v.denominator != 1 for v in y):
                 return LPResult(INFEASIBLE)
-            left = None if budget is None else budget - solves
-            point = solve_ilp(replace(lp, objective=[0] * n), left)
+            point = solve_ilp(replace(lp, objective=[0] * n), budget)
             return point if point.values is None else LPResult(UNBOUNDED)
         if res.status != OPTIMAL:
             continue
@@ -336,6 +339,7 @@ def solve_ohcp_ilp(instance: OHCPInstance,
                    budget: Optional[int] = None) -> LPSolution:
     """Integral x and y make c = x - dy integral, so a chain with a
     fractional coefficient is INFEASIBLE without branching."""
+    budget = _Budget.of(budget)
     if any(Fraction(v).denominator != 1 for v in instance.chain.values()):
         return LPSolution(status=INFEASIBLE)
     return _extract(instance, solve_ilp(formulate(instance), budget=budget))

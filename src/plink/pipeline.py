@@ -20,10 +20,16 @@ class GatePolicy:
     scope: str = FULL_LINK
 
     def __post_init__(self):
-        if self.scope == LISTED_P_ONLY and not self.required_conditions:
-            raise InvalidArgument("listed-p-only gate needs dimensions")
         if self.scope not in (FULL_LINK, LISTED_P_ONLY):
             raise InvalidArgument(f"unknown scope {self.scope!r}")
+        if self.scope == LISTED_P_ONLY and not self.required_conditions:
+            raise InvalidArgument("listed-p-only gate needs dimensions")
+        if self.scope == FULL_LINK and self.required_conditions:
+            raise InvalidArgument("full-link gate checks every dimension; "
+                                  "it takes none listed")
+        if any(p < 0 for p in self.required_conditions):
+            raise InvalidArgument(f"negative gate dimension in "
+                                  f"{sorted(self.required_conditions)}")
 
     def passes(self, complex: SimplicialComplex, edge) -> bool:
         return all(_gate_record(complex, complex._edge(edge), self).values())

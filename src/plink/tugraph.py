@@ -10,8 +10,8 @@ from typing import Iterator, Optional, Union
 
 from .complexes import (COLLAPSING, MIRROR, EdgeContraction, InvalidArgument,
                         SimplicialComplex)
-from .homology import (IntegerMatrix, Verdict, _shape, boundary_matrix,
-                       det_int)
+from .homology import (IntegerMatrix, Verdict, _Budget, _shape, _Spent,
+                       boundary_matrix, det_int)
 
 B_EVEN = "b-even"
 B_ODD = "b-odd"
@@ -105,32 +105,23 @@ def b_parity(graph: IncidenceGraph, circuit) -> str:
     return B_EVEN if total == 0 else B_ODD
 
 
-class _BudgetSpent(Exception):
-    """Unwinds the whole chordless-cycle search when its budget runs out."""
-
-
 def enumerate_chordless_cycles(graph: IncidenceGraph,
-                               budget: Optional[int] = None, *,
-                               spent: Optional[list] = None
+                               budget: Optional[int] = None
                                ) -> Iterator[Union[Circuit, None]]:
     """Yield every chordless (induced) cycle as an edge frozenset, each once.
 
     Depth-first extension of induced paths with a canonical smallest start
     vertex.  The budget caps the search nodes; when it runs out, the search
-    yields None once and stops.  If `spent` is given (a one-item list), its
-    item holds the search nodes spent so far at every yield and at the end.
+    yields None once and stops.
     """
     order = {v: i for i, v in enumerate(graph.vertices)}
     adj = {v: sorted(graph.adj[v], key=order.get) for v in graph.vertices}
-    nodes = 0
+    spend = _Budget.of(budget).spend
 
     def extend(path, in_path):
-        nonlocal nodes
         s, u = path[0], path[-1]
         for w in adj[u]:
-            if budget is not None and nodes >= budget:
-                raise _BudgetSpent
-            nodes += 1
+            spend()
             if order[w] <= order[s] or w in in_path:
                 continue
             nbrs = graph.adj[w] & in_path
@@ -147,21 +138,14 @@ def enumerate_chordless_cycles(graph: IncidenceGraph,
                     for i in range(len(cycle)):
                         a, b = cycle[i], cycle[(i + 1) % len(cycle)]
                         edges.add((a, b) if (a, b) in graph.weights else (b, a))
-                    if spent is not None:
-                        spent[0] = nodes
                     yield frozenset(edges)
 
-    exhausted = False
     try:
         for s in graph.vertices:
             for t in adj[s]:
                 if order[t] > order[s]:
                     yield from extend([s, t], {s, t})
-    except _BudgetSpent:
-        exhausted = True
-    if spent is not None:
-        spent[0] = nodes
-    if exhausted:
+    except _Spent:
         yield None
 
 
@@ -172,41 +156,23 @@ def enumerate_circuits(graph: IncidenceGraph) -> Iterator[Circuit]:
     """Every nonempty element of the cycle space (all circuits), via GF(2)
     combinations of fundamental cycles.  For small graphs only: raises when
     there are more than MAX_CIRCUITS."""
-    parent = {}
-    parent_edge = {}
-    seen = set()
-    fundamentals = []
+    parent = {}             # a spanning forest: node -> (parent, edge)
     for root in graph.vertices:
-        if root in seen:
+        if root in parent:
             continue
-        seen.add(root)
+        parent[root] = None
         stack = [root]
         while stack:
             v = stack.pop()
             for w in sorted(graph.adj[v], key=str):
-                if w not in seen:
-                    seen.add(w)
-                    parent[w] = v
-                    parent_edge[w] = ((v, w) if (v, w) in graph.weights
-                                      else (w, v))
+                if w not in parent:
+                    parent[w] = (v, (v, w) if (v, w) in graph.weights
+                                 else (w, v))
                     stack.append(w)
-
-    def path_to_root(v):
-        out = set()
-        while v in parent_edge:
-            out.add(parent_edge[v])
-            v = parent[v]
-        return out
-
     # each non-tree edge closes one fundamental cycle of the spanning forest
-    tree_edges = set(parent_edge.values())
-    for e in graph.weights:
-        if e in tree_edges:
-            continue
-        r, c = e
-        cyc = path_to_root(r) ^ path_to_root(c)
-        cyc.add(e)
-        fundamentals.append(frozenset(cyc))
+    tree_edges = {up[1] for up in parent.values() if up}
+    fundamentals = [frozenset(_tree_cycle(parent, r, c, (r, c)))
+                    for (r, c) in graph.weights if (r, c) not in tree_edges]
     k = len(fundamentals)
     if (1 << k) - 1 > MAX_CIRCUITS:
         raise InvalidArgument(f"cycle space too large: 2^{k} circuits")
@@ -224,27 +190,23 @@ def enumerate_circuits(graph: IncidenceGraph) -> Iterator[Circuit]:
 MAX_DET_ORDER = 8
 
 
-def _tu_by_determinants(rows, cols, entries, budget) -> Verdict:
+def _tu_by_determinants(rows, cols, entries, budget: _Budget) -> Verdict:
     m, n = len(rows), len(cols)
     cap = min(MAX_DET_ORDER, m, n)
-    checked = 0
     for k in range(2, cap + 1):
         for ri in itertools.combinations(range(m), k):
             sub = [entries[i] for i in ri]
             for cj in itertools.combinations(range(n), k):
-                if budget is not None and checked >= budget:
-                    return Verdict(None, "determinant", budget_used=checked)
+                budget.spend()
                 d = det_int([[row[j] for j in cj] for row in sub])
-                checked += 1
                 if abs(d) >= 2:
                     return Verdict(False, "determinant",
                                    witness={"rows": tuple(rows[i] for i in ri),
                                             "cols": tuple(cols[j] for j in cj),
                                             "det": d},
-                                   budget_used=checked)
-    if min(m, n) > MAX_DET_ORDER:
-        return Verdict(None, "determinant", budget_used=checked)
-    return Verdict(True, "determinant", budget_used=checked)
+                                   budget_used=budget.used)
+    status = None if min(m, n) > MAX_DET_ORDER else True
+    return Verdict(status, "determinant", budget_used=budget.used)
 
 
 def _signed_edges(lines) -> Optional[list]:
@@ -282,7 +244,8 @@ def _tree_cycle(parent, u, v, closing) -> list:
     return up_u[:depth[x]] + up_v + [closing]
 
 
-def _tu_by_signed_colouring(rows, cols, entries, budget) -> Optional[Verdict]:
+def _tu_by_signed_colouring(rows, cols, entries,
+                            budget: _Budget) -> Optional[Verdict]:
     """Heller-Tompkins test, in Ghouila-Houri's form, for a 0/+-1 matrix
     with at most two nonzeros in every column (or in every row): it is TU
     iff its rows (columns) have a 2-colouring in which a column (row) with
@@ -306,7 +269,6 @@ def _tu_by_signed_colouring(rows, cols, entries, budget) -> Optional[Verdict]:
         adj.setdefault(k, []).append((i, e))
     side, parent = {}, {}
     examined = [False] * len(edges)
-    used = 0
     for root in adj:
         if root in side:
             continue
@@ -316,10 +278,8 @@ def _tu_by_signed_colouring(rows, cols, entries, budget) -> Optional[Verdict]:
             for v, e in adj[u]:
                 if examined[e]:
                     continue
-                if budget is not None and used >= budget:
-                    return Verdict(None, "circuit", budget_used=used)
+                budget.spend()
                 examined[e] = True
-                used += 1
                 want = side[u] ^ edges[e][3]
                 if v not in side:
                     side[v], parent[v] = want, (u, e)
@@ -337,23 +297,20 @@ def _tu_by_signed_colouring(rows, cols, entries, budget) -> Optional[Verdict]:
                             "signed colouring closed a cycle that is not a "
                             "b-odd circuit")
                     return Verdict(False, "circuit", witness=witness,
-                                   budget_used=used)
-    return Verdict(True, "circuit", budget_used=used)
+                                   budget_used=budget.used)
+    return Verdict(True, "circuit", budget_used=budget.used)
 
 
-def _tu_by_circuit_search(graph: IncidenceGraph,
-                          budget: Optional[int]) -> Verdict:
+def _tu_by_circuit_search(graph: IncidenceGraph, budget: _Budget) -> Verdict:
     """The first chordless b-odd circuit of the graph, or True when there is
     none; the budget caps the search nodes."""
-    spent = [0]
-    for cycle in enumerate_chordless_cycles(graph, budget=budget,
-                                            spent=spent):
+    for cycle in enumerate_chordless_cycles(graph, budget=budget):
         if cycle is None:
-            return Verdict(None, "circuit", budget_used=spent[0])
+            raise _Spent
         if sum(graph.weights[e] for e in cycle) % 4 == 2:
             return Verdict(False, "circuit", witness=cycle,
-                           budget_used=spent[0])
-    return Verdict(True, "circuit", budget_used=spent[0])
+                           budget_used=budget.used)
+    return Verdict(True, "circuit", budget_used=budget.used)
 
 
 def is_totally_unimodular(matrix: Union[IntegerMatrix, list],
@@ -376,21 +333,25 @@ def is_totally_unimodular(matrix: Union[IntegerMatrix, list],
     """
     if strategy not in ("circuit", "determinant"):
         raise InvalidArgument(f"unknown strategy {strategy!r}")
-    if budget is not None and budget < 0:
-        raise InvalidArgument(f"budget {budget} is negative")
+    budget = _Budget.of(budget)
     rows, cols, entries = _labelled(matrix)
     for i, row in enumerate(entries):
         for j, v in enumerate(row):
             if v not in (-1, 0, 1):
                 return Verdict(False, strategy,
                                witness={"rows": (rows[i],), "cols": (cols[j],),
-                                        "det": v})
-    if strategy == "determinant":
-        return _tu_by_determinants(rows, cols, entries, budget)
-    verdict = _tu_by_signed_colouring(rows, cols, entries, budget)
-    if verdict is not None:
+                                        "det": v},
+                               budget_used=budget.used)
+    try:
+        if strategy == "determinant":
+            return _tu_by_determinants(rows, cols, entries, budget)
+        verdict = _tu_by_signed_colouring(rows, cols, entries, budget)
+        if verdict is None:
+            verdict = _tu_by_circuit_search(
+                IncidenceGraph.from_matrix(matrix), budget)
         return verdict
-    return _tu_by_circuit_search(IncidenceGraph.from_matrix(matrix), budget)
+    except _Spent:
+        return Verdict(None, strategy, budget_used=budget.used)
 
 
 # -- circuit transport under a contraction ----------------------------------

@@ -175,7 +175,7 @@ def test_reduce_with_log(annulus_path, tmp_path):
 def test_reduce_gate_parsing(annulus_path, tmp_path):
     assert main(["reduce", annulus_path, "--gate", "p=1,2",
                  "-o", str(tmp_path / "o.scx")]) == EXIT_OK
-    for gate in ("sideways", "p=a", "p=", "p=1,,2"):
+    for gate in ("sideways", "p=a", "p=", "p=1,,2", "p=-1"):
         assert main(["reduce", annulus_path, "--gate", gate,
                      "-o", str(tmp_path / "o2.scx")]) == EXIT_USAGE
 

@@ -16,6 +16,12 @@ def test_gate_policy_validation():
         GatePolicy(scope=LISTED_P_ONLY)
     with pytest.raises(InvalidArgument):
         GatePolicy(scope="sometimes")
+    # a full-link gate ignored listed dimensions; a negative one passed
+    # every edge, so mobius(7) reduced to a point
+    with pytest.raises(InvalidArgument, match="full-link"):
+        GatePolicy(required_conditions=frozenset({1}), scope=FULL_LINK)
+    with pytest.raises(InvalidArgument, match="negative"):
+        GatePolicy(required_conditions=frozenset({-3}), scope=LISTED_P_ONLY)
     GatePolicy(scope=FULL_LINK)
     GatePolicy(required_conditions=frozenset({1, 2}), scope=LISTED_P_ONLY)
 

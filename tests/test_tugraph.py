@@ -9,7 +9,7 @@ from plink.complexes import (MIRROR, InvalidArgument, SimplicialComplex,
 from plink.fixtures import (FIXTURE_NAMES, FIXTURES, annulus, cone,
                             fig_plink_right, generate, mobius,
                             punctured_mobius, random_complex)
-from plink.homology import boundary_matrix
+from plink.homology import Verdict, _Budget, _Spent, boundary_matrix
 from plink.tugraph import (B_EVEN, B_ODD, CircuitDomainError, IncidenceGraph,
                            PreconditionError, _tu_by_circuit_search,
                            _tu_by_signed_colouring, b_parity, build_p_graph,
@@ -125,10 +125,10 @@ def test_chordless_cycles_budget_yields_none():
 def test_chordless_cycles_budget_yields_none_once(budget):
     # every open recursion level and start edge once yielded None again
     g = build_p_graph(annulus(6), 2)
-    spent = [0]
-    out = list(enumerate_chordless_cycles(g, budget=budget, spent=spent))
+    spent = _Budget(budget)
+    out = list(enumerate_chordless_cycles(g, budget=spent))
     assert out.count(None) == 1 and out[-1] is None
-    assert spent == [budget]
+    assert spent.used == budget
     assert len(out) == (1 if budget == 5 else 2)
 
 
@@ -138,9 +138,9 @@ def test_chordless_cycles_every_budget_gives_a_prefix():
     for cx, p in ((complete_graph(4), 1), (annulus(3), 2), (mobius(5), 2),
                   (fig_plink_right(), 2)):
         g = build_p_graph(cx, p)
-        spent = [0]
-        cycles = list(enumerate_chordless_cycles(g, spent=spent))
-        total = spent[0]
+        spent = _Budget()
+        cycles = list(enumerate_chordless_cycles(g, budget=spent))
+        total = spent.used
         for budget in range(total + 2):
             out = list(enumerate_chordless_cycles(g, budget=budget))
             if budget < total:
@@ -317,8 +317,9 @@ def differential(matrix, det_budget=2000):
         entries = matrix
     else:
         rows, cols, entries = matrix.rows, matrix.cols, matrix.entries
-    fast = _tu_by_signed_colouring(rows, cols, entries, None)
-    search = _tu_by_circuit_search(IncidenceGraph.from_matrix(matrix), None)
+    fast = _tu_by_signed_colouring(rows, cols, entries, _Budget())
+    search = _tu_by_circuit_search(IncidenceGraph.from_matrix(matrix),
+                                   _Budget())
     verdict = is_totally_unimodular(matrix)
     if fast is None:
         assert verdict == search
@@ -407,10 +408,14 @@ def test_dense_matrix_reaches_the_search_unchanged():
         cx = SimplicialComplex.from_maximal(rng.sample(triangles, 14))
         bm = boundary_matrix(cx, 2)
         assert _tu_by_signed_colouring(bm.rows, bm.cols, bm.entries,
-                                       None) is None
+                                       _Budget()) is None
         for budget in (None, 50):
-            assert is_totally_unimodular(bm, budget=budget) == \
-                _tu_by_circuit_search(build_p_graph(cx, 2), budget)
+            spent = _Budget(budget)
+            try:
+                search = _tu_by_circuit_search(build_p_graph(cx, 2), spent)
+            except _Spent:
+                search = Verdict(None, "circuit", budget_used=spent.used)
+            assert is_totally_unimodular(bm, budget=budget) == search
 
 
 def test_budget_used_is_the_exact_work_of_every_verdict():
@@ -422,7 +427,8 @@ def test_budget_used_is_the_exact_work_of_every_verdict():
              (boundary_matrix(SimplicialComplex.from_maximal(
                  mobius(5).p_simplices(2) + [(0, 1, 5)]), 2), False, False)]
     for bm, colouring, tu in cases:
-        fast = _tu_by_signed_colouring(bm.rows, bm.cols, bm.entries, None)
+        fast = _tu_by_signed_colouring(bm.rows, bm.cols, bm.entries,
+                                       _Budget())
         assert (fast is not None) is colouring
         v = is_totally_unimodular(bm)
         assert v.status is tu and v.budget_used > 0
