@@ -114,14 +114,22 @@ class SimplicialComplex:
     @classmethod
     def from_maximal(cls, simplices: Iterable[Iterable[int]],
                      weights: Optional[Mapping] = None) -> "SimplicialComplex":
-        """Build from generators; the face closure is taken automatically."""
+        """Build from generators; the face closure is taken automatically.
+        The closure of canonical generators is canonical and face-closed,
+        so an unweighted call skips __init__'s checks."""
         closed = set()
         for s in simplices:
             closed.update(faces_of(canon(s)))
-        wts = None
         if weights:
-            wts = {canon(s): Fraction(w) for s, w in weights.items()}
-        return cls(closed, wts)
+            return cls(closed, {canon(s): Fraction(w)
+                                for s, w in weights.items()})
+        cx = cls.__new__(cls)
+        # Built entry by entry, as __init__ builds it: a copy of the set
+        # would get a denser hash table, and slower lookups in every
+        # contraction that inherits it.
+        cx.simplices = frozenset(iter(closed))
+        cx.weights = {}
+        return cx
 
     # -- basic queries ------------------------------------------------------
 

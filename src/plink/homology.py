@@ -127,24 +127,22 @@ def _smith(M: list, m: int, n: int) -> list:
         t += 1
 
 
-def _unit_pivots(entries: list) -> tuple:
-    """(units, residual): eliminate +-1 pivots sparsely, least Markowitz
+def _unit_pivots(rows: dict) -> tuple:
+    """(units, residual): eliminate +-1 pivots of the sparse matrix
+    rows = {row: {col: nonzero value}}, each row nonempty, least Markowitz
     fill (row nnz - 1)(col nnz - 1) first, until none is left; the
     invariant factors of the matrix are [1] * units followed by those of
-    the dense residual over the surviving rows and columns.
+    the dense residual over the surviving rows and columns.  rows is
+    consumed.
 
     A +-1 pivot clears the rest of its column by integral row operations;
     column operations then clear its row without touching any other row.
     Both are unimodular, and the pivot leaves an invariant factor 1
     (Dumas-Saunders-Villard 2001; Markowitz 1957)."""
-    rows = {}                   # row -> {col: nonzero value}
     cols = {}                   # col -> rows holding a nonzero there
-    for i, row in enumerate(entries):
-        r = {j: v for j, v in enumerate(row) if v}
-        if r:
-            rows[i] = r
-            for j in r:
-                cols.setdefault(j, set()).add(i)
+    for i, r in rows.items():
+        for j in r:
+            cols.setdefault(j, set()).add(i)
     units = 0
     while True:
         best = None
@@ -187,7 +185,9 @@ def smith_normal_form(entries: list) -> list:
     positive; r is its rank.  Unit pivots are eliminated sparsely first;
     the dense _smith reduces only what is left."""
     _shape(entries)
-    units, rest = _unit_pivots(entries)
+    units, rest = _unit_pivots(
+        {i: r for i, row in enumerate(entries)
+         if (r := {j: v for j, v in enumerate(row) if v})})
     return [1] * units + _smith(rest, len(rest), len(rest[0]) if rest else 0)
 
 
@@ -475,11 +475,30 @@ def has_relative_torsion(complex: SimplicialComplex, p: int,
         return Verdict(status, "tu", budget_used=tu.budget_used)
     if mode != "oracle":
         raise InvalidArgument(f"unknown mode {mode!r}")
-    for pair in enumerate_pure_pairs(complex, p, budget=budget):
-        if isinstance(pair, Truncated):
-            return Verdict(None, "oracle", budget_used=budget.used)
-        factors = smith_normal_form(relative_boundary_matrix(pair).entries)
-        if any(f > 1 for f in factors):
-            return Verdict(True, "oracle", witness=pair,
-                           budget_used=budget.used)
+    # The relative [d_{p+1}] of a pair is a slice of [d_{p+1}]: its columns
+    # are L's (p+1)-simplices S, its rows their p-faces not in L0.  Pairs
+    # are taken in enumerate_pure_pairs' order; only a witness is built.
+    tops = complex.p_simplices(p + 1)
+    col_faces = [[(s[:k] + s[k + 1:], -1 if k % 2 else 1)
+                  for k in range(p + 2)] for s in tops]
+    for cols in _nonempty_subsets(range(len(tops))):
+        star = {}               # p-face of S -> {column: sign}
+        for j in cols:
+            for face, sign in col_faces[j]:
+                star.setdefault(face, {})[j] = sign
+        for l0 in _nonempty_subsets(sorted(star)):
+            try:
+                budget.spend()
+            except _Spent:
+                return Verdict(None, "oracle", budget_used=budget.used)
+            drop = set(l0)
+            _, rest = _unit_pivots({f: dict(r) for f, r in star.items()
+                                    if f not in drop})
+            if rest and any(d > 1 for d in
+                            _smith(rest, len(rest), len(rest[0]))):
+                pair = SubcomplexPair(
+                    L=SimplicialComplex.from_maximal(tops[j] for j in cols),
+                    L0=SimplicialComplex.from_maximal(l0), p=p)
+                return Verdict(True, "oracle", witness=pair,
+                               budget_used=budget.used)
     return Verdict(False, "oracle", budget_used=budget.used)

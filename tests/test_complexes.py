@@ -122,6 +122,27 @@ def test_from_maximal_closes():
     assert cx.vertices == [0, 1, 2]
 
 
+def test_from_maximal_matches_checked_constructor():
+    # the unweighted from_maximal skips __init__'s checks; it must build
+    # the same complex as __init__ on the closure of the generators
+    r = random.Random(0xC105)
+    for _ in range(200):
+        gens = [tuple(r.sample(range(8), r.randint(1, 4)))
+                for _ in range(r.randint(0, 6))]
+        gens += [g[::-1] for g in r.sample(gens, len(gens) // 2)]   # repeats
+        gens += [g[:r.randint(1, len(g))] for g in gens[:2]]        # faces
+        r.shuffle(gens)
+        closure = {f for g in gens for f in faces_of(tuple(sorted(g)))}
+        cx = SimplicialComplex.from_maximal(gens)
+        ref = SimplicialComplex(closure)
+        assert cx == ref
+        assert (cx.simplices, cx.weights, cx.dim) == (ref.simplices,
+                                                     ref.weights, ref.dim)
+    for bad in [(), (1, 1), (0, -1), (2, 3, 2)]:
+        with pytest.raises(InvalidArgument):
+            SimplicialComplex.from_maximal([(0, 1), bad])
+
+
 def test_weights_single_dimension_only():
     with pytest.raises(InvalidArgument):
         SimplicialComplex.from_maximal(

@@ -262,6 +262,13 @@ def boundary_corpus():
                 yield boundary_matrix(cx, p).entries
 
 
+def sparse_rows(A):
+    """A as the {row: {col: value}} map _unit_pivots takes: nonzero
+    entries only, no empty row."""
+    return {i: {j: v for j, v in enumerate(row) if v}
+            for i, row in enumerate(A) if any(row)}
+
+
 def dense_factors(A):
     return _smith([list(row) for row in A], len(A), len(A[0]) if A else 0)
 
@@ -279,7 +286,7 @@ def test_sparse_snf_matches_dense_on_non_unit_matrices():
         diag = smith_normal_form(A)
         assert diag == dense_factors(A)
         assert len(diag) == matrix_rank(A)
-        units, rest = _unit_pivots(A)
+        units, rest = _unit_pivots(sparse_rows(A))
         residuals += bool(rest) and units > 0
     # the corpus must exercise unit pivots followed by a dense residual
     # (the residual keeps no empty row)
@@ -297,7 +304,7 @@ def test_grid_boundaries_leave_at_most_one_dense_column():
     for twist in (False, True):
         for p in (1, 2):
             A = boundary_matrix(grid_surface(8, 8, twist), p).entries
-            units, rest = _unit_pivots(A)
+            units, rest = _unit_pivots(sparse_rows(A))
             assert units == len(A) - 1 or units == len(A[0]) - 1
             assert not rest or len(rest[0]) <= 1
 
@@ -483,14 +490,29 @@ def test_relative_torsion_rejects_p_out_of_range():
             next(enumerate_pure_pairs(cx, p))
 
 
-def test_torsion_oracle_matches_relative_homology_loop():
+def test_torsion_oracle_matches_relative_homology_loop(monkeypatch):
     # the reference walks the pairs itself and reads each pair's torsion off
     # relative_homology_group, the path the oracle no longer takes
     r = random.Random(77)
-    cases = [(mobius(5), 1, None)]      # its witness is pair 5,328
+    cases = [(mobius(5), 1, None),      # its witness is pair 5,328
+             (mobius(5), 1, 0)]
     for _ in range(40):
         cx = random_complex(r, n_vertices=6, max_dim=3, n_generators=4)
         cases += [(cx, p, r.choice([3, 60, 400])) for p in range(cx.dim)]
+    # complete enumerations at every p, 12,308 pairs in all
+    r = random.Random(89)
+    for _ in range(10):
+        cx = random_complex(r, n_vertices=5, max_dim=3, n_generators=3)
+        cases += [(cx, p, None) for p in range(cx.dim)]
+    # a late witness, pair 21,308: (0, 1, 5) is the third of six triangles,
+    # and the witness's L takes the other five
+    flap = SimplicialComplex.from_maximal(
+        mobius(5).p_simplices(2) + [(0, 1, 5)])
+    cases.append((flap, 1, None))
+    made = []                   # from_maximal calls
+    real = SimplicialComplex.from_maximal
+    monkeypatch.setattr(SimplicialComplex, "from_maximal",
+                        lambda *a, **k: made.append(1) or real(*a, **k))
     seen = set()
     for cx, p, budget in cases:
         expect = (False, None)
@@ -503,10 +525,15 @@ def test_torsion_oracle_matches_relative_homology_loop():
             if relative_homology_group(pair).torsion_coeffs:
                 expect = (True, pair)
                 break
+        before = len(made)
         v = has_relative_torsion(cx, p, mode="oracle", budget=budget)
         assert (v.status, v.witness, v.budget_used) == (*expect, used)
-        seen.add(v.status)
-    assert seen == {True, False, None}
+        # only a witness builds complexes: its L and its L0
+        assert len(made) - before == (2 if v.status else 0)
+        seen.add((v.status, p, budget is None))
+    assert {status for status, _, _ in seen} == {True, False, None}
+    assert {(False, 0, True), (False, 1, True), (False, 2, True),
+            (True, 1, True)} <= seen
 
 
 def test_has_relative_torsion_rejects_negative_budget():
