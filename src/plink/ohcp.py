@@ -12,8 +12,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
-from .complexes import (Chain, InvalidArgument, SimplicialComplex, canon,
-                        chain_boundary)
+from .complexes import (Chain, InvalidArgument, SimplicialComplex,
+                        boundary_of, canon, chain_boundary)
 from .homology import (_Budget, _Spent, bareiss_step, boundary_matrix,
                        snf_solve)
 
@@ -66,13 +66,15 @@ class _Tableau:
     cost_scale: int
 
     def pivot(self, ri: int, cj: int) -> None:
-        """One Bareiss step on every other row (Edmonds 1967)."""
-        T = self.T
-        others = [i for i in range(len(T)) if i != ri]
-        self.d = bareiss_step(T, ri, cj, self.d, others, range(len(T[ri])))
-        if self.d < 0:  # artificials driven out, or a dual simplex pivot
-            T[:] = [[-v for v in row] for row in T]
-            self.d = -self.d
+        """One Bareiss step on every other row (Edmonds 1967); a negative
+        pivot negates its row first, so d stays positive.  A row with 0 in
+        column cj is multiplied by pivot / d: left out when that is 1."""
+        T, d = self.T, self.d
+        if T[ri][cj] < 0:
+            T[ri] = [-v for v in T[ri]]
+        unit = T[ri][cj] == d
+        rows = [i for i in range(len(T)) if i != ri and (T[i][cj] or not unit)]
+        self.d = bareiss_step(T, ri, cj, d, rows, range(len(T[ri])))
         self.basis[ri] = cj
 
     def optimum(self) -> LPResult:
@@ -87,31 +89,45 @@ class _Tableau:
 
 
 def solve_lp_exact(lp: LinearProgram) -> LPResult:
-    """Two-phase primal simplex over exact rationals, Bland's rule.
+    """Primal simplex over exact rationals, Bland's rule, from a crash basis.
+
+    Each row is scaled to integers with rhs >= 0; d is the gcd of the
+    entries left of the rhs.  A column d e_i starts as basic in row i, any
+    other row gets an artificial column d e_i, and phase 1 runs only if one
+    exists.  So OHCP starts at x = c, y = 0: each row has x+_i or x-_i.
 
     Below the m constraint rows the tableau holds the phase-2 and then the
     phase-1 objective row: reduced costs, and minus the objective value in
     the last cell.  Pivots update them like every other row.
 
-    The tableau is fraction-free (``_Tableau``).  A common factor of the
-    constraint rows (artificials stay 1) and one of the costs only rescale
-    variables and costs: the pivots stay.
+    The tableau is fraction-free (``_Tableau``).  Divided by d, the start
+    is integral but for the rhs, so every later entry is d times a minor
+    linear in the rhs: the Bareiss divisions stay exact.
     """
     m = len(lp.rows)
     n = len(lp.objective)
     scale = math.lcm(*(v.denominator for r in lp.rows + [lp.rhs] for v in r))
     cost_scale = math.lcm(*(v.denominator for v in lp.objective))
-    T = []
-    for i, (row, b) in enumerate(zip(lp.rows, lp.rhs)):
-        f = -scale if b < 0 else scale
-        T.append(_integral(row, f) + [int(k == i) for k in range(m)]
-                 + _integral([b], f))
-    T.append(_integral(lp.objective, cost_scale) + [0] * (m + 1))
-    # phase 1 minimises the sum of the artificials, priced out of the basis
-    T.append([-sum(row[j] for row in T[:m]) for j in range(n)]
-             + [0] * m + [-sum(row[-1] for row in T[:m])])
-    tab = _Tableau(T, [n + i for i in range(m)], 1, cost_scale)
-    basis = tab.basis
+    T = [_integral(row + [b], -scale if b < 0 else scale)
+         for row, b in zip(lp.rows, lp.rhs)]
+    d = math.gcd(*(math.gcd(*row[:-1]) for row in T)) or 1
+    basis = [None] * m
+    for j, col in zip(range(n), zip(*T)):
+        if col.count(0) == m - 1 and d in col and basis[col.index(d)] is None:
+            basis[col.index(d)] = j
+    artificial = [i for i in range(m) if basis[i] is None]
+    for k, i in enumerate(artificial):
+        basis[i] = n + k
+    for i, row in enumerate(T):
+        row[n:n] = [d * (i == a) for a in artificial]
+    # the costs, priced out of the crash basis
+    costs = _integral(lp.objective, cost_scale)
+    cost = [d * v for v in costs] + [0] * (len(artificial) + 1)
+    for i, j in enumerate(basis):
+        if j < n and costs[j]:
+            cost = [c - costs[j] * v for c, v in zip(cost, T[i])]
+    T.append(cost)
+    tab = _Tableau(T, basis, d, cost_scale)
 
     def optimize(ncols):
         """Pivot on the last row's costs; False when unbounded."""
@@ -131,21 +147,26 @@ def solve_lp_exact(lp: LinearProgram) -> LPResult:
                     leaving = i
             tab.pivot(leaving, entering)
 
-    optimize(n + m)
-    if T.pop()[-1]:
-        return LPResult(status=INFEASIBLE)
-    # drive artificials out of the basis, drop redundant rows
-    for i in reversed(range(len(basis))):
-        if basis[i] >= n:
-            for j in range(n):
-                if T[i][j]:
-                    tab.pivot(i, j)
-                    break
-            else:
-                del T[i]
-                del basis[i]
-    for row in T:
-        del row[n:-1]
+    if artificial:
+        # phase 1 minimises the sum of the artificials, priced out
+        T.append([-sum(T[i][j] for i in artificial) for j in range(n)]
+                 + [0] * len(artificial)
+                 + [-sum(T[i][-1] for i in artificial)])
+        optimize(n + len(artificial))
+        if T.pop()[-1]:
+            return LPResult(status=INFEASIBLE)
+        # drive artificials out of the basis, drop redundant rows
+        for i in reversed(range(len(basis))):
+            if basis[i] >= n:
+                for j in range(n):
+                    if T[i][j]:
+                        tab.pivot(i, j)
+                        break
+                else:
+                    del T[i]
+                    del basis[i]
+        for row in T:
+            del row[n:-1]
     if not optimize(n):
         return LPResult(status=UNBOUNDED)
     return tab.optimum()
@@ -249,7 +270,9 @@ def solve_ilp(lp: LinearProgram, budget: Optional[int] = None) -> LPResult:
 # -- OHCP -------------------------------------------------------------------
 
 def _check_chain(complex: SimplicialComplex, p: int, chain: Chain) -> None:
-    """Every key of chain must be a canonical p-simplex of complex."""
+    """p >= 0, and every key of chain is a canonical p-simplex of complex."""
+    if p < 0:
+        raise InvalidArgument(f"p={p} is negative")
     for s in chain:
         if canon(s) != s or s not in complex.simplices or len(s) != p + 1:
             raise InvalidArgument(f"chain simplex {s} is not a canonical "
@@ -274,6 +297,7 @@ class LPSolution:
     chain: Chain = field(default_factory=dict)        # optimal p-chain x
     objective: Optional[Fraction] = None
     certificate: Chain = field(default_factory=dict)  # (p+1)-chain y, x = c + dy
+    cocycle: Chain = field(default_factory=dict)      # dual p-cochain u
 
     def to_json(self) -> dict:
         def enc(ch):
@@ -282,7 +306,8 @@ class LPSolution:
         return {"status": self.status,
                 "objective": None if self.objective is None else str(self.objective),
                 "chain": enc(self.chain),
-                "certificate": enc(self.certificate)}
+                "certificate": enc(self.certificate),
+                "cocycle": enc(self.cocycle)}
 
 
 def _layout(instance: OHCPInstance) -> tuple:
@@ -308,8 +333,12 @@ def formulate(instance: OHCPInstance) -> LinearProgram:
         rows=rows, rhs=[instance.chain.get(s, 0) for s in p_simplices])
 
 
-def _extract(instance: OHCPInstance, res: LPResult) -> LPSolution:
-    """Read x and y off the LP values and check x = c + dy."""
+def _extract(instance: OHCPInstance, lp: LinearProgram,
+             res: LPResult) -> LPSolution:
+    """Read x and y off the LP values and check x = c + dy.  An LP optimum
+    also gives the dual optimum u = w - r(x+), r the reduced costs: check
+    that u is a p-cocycle, |u| <= w and <u, c> is the objective
+    (Dey-Hirani-Krishnamoorthy 2011), over one denominator D."""
     if res.values is None:
         return LPSolution(status=res.status)
     v = res.values
@@ -327,12 +356,26 @@ def _extract(instance: OHCPInstance, res: LPResult) -> LPSolution:
              if (d := chain.get(s, 0) - c.get(s, 0))}
     if moved != chain_boundary(cert):
         raise InvalidArgument("certificate identity x = c + dy failed")
-    return LPSolution(status=res.status, chain=chain, objective=res.objective,
-                      certificate=cert)
+    sol = LPSolution(status=res.status, chain=chain, objective=res.objective,
+                     certificate=cert)
+    tab = res._tableau
+    if tab is None:     # an ILP optimum
+        return sol
+    D = tab.d * tab.cost_scale
+    w = _integral(lp.objective[:len(p_simplices)], D)
+    u = {s: ws - r for s, ws, r in zip(p_simplices, w, tab.T[-1])}
+    if (any(sum(sign * u[f] for f, sign in boundary_of(t).items())
+            for t in q_simplices)
+            or any(abs(u[s]) > ws for s, ws in zip(p_simplices, w))
+            or sum(u[s] * v for s, v in c.items()) != res.objective * D):
+        raise InvalidArgument("dual certificate u failed: not a cocycle, "
+                              "past a weight or off the objective")
+    sol.cocycle = {s: Fraction(v, D) for s, v in u.items() if v}
+    return sol
 
 
 def solve_ohcp_lp(instance: OHCPInstance) -> LPSolution:
-    return _extract(instance, solve_lp_exact(formulate(instance)))
+    return _extract(instance, lp := formulate(instance), solve_lp_exact(lp))
 
 
 def solve_ohcp_ilp(instance: OHCPInstance,
@@ -342,7 +385,8 @@ def solve_ohcp_ilp(instance: OHCPInstance,
     budget = _Budget.of(budget)
     if any(Fraction(v).denominator != 1 for v in instance.chain.values()):
         return LPSolution(status=INFEASIBLE)
-    return _extract(instance, solve_ilp(formulate(instance), budget=budget))
+    return _extract(instance, lp := formulate(instance),
+                    solve_ilp(lp, budget=budget))
 
 
 # -- homologousness check ---------------------------------------------------

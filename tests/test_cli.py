@@ -158,6 +158,17 @@ def test_ohcp_lp_and_ilp(tmp_path, capsys):
                  "--json"]) == EXIT_OK
     ilp = json.loads(capsys.readouterr().out)
     assert ilp["objective"] == "13/10"
+    # an LP optimum carries its dual cocycle, an ILP optimum none
+    keys = {"status", "objective", "chain", "certificate", "cocycle"}
+    assert set(lp) == set(ilp) == keys
+    assert lp["cocycle"] and ilp["cocycle"] == []
+
+
+def test_ohcp_negative_p_is_a_usage_error(annulus_path, tmp_path, capsys):
+    chain = tmp_path / "empty.chn"
+    chain.write_text("")
+    assert main(["ohcp", annulus_path, str(chain), "--p", "-1"]) == EXIT_USAGE
+    assert "p=-1 is negative" in capsys.readouterr().err
 
 
 def test_reduce_with_log(annulus_path, tmp_path):

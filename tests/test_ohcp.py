@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from plink import ohcp
 from plink.complexes import (InvalidArgument, SimplicialComplex, boundary_of,
-                             chain_boundary)
+                             canon, chain_boundary)
 from plink.fixtures import (annulus, cone, mobius, mobius_ohcp_instance,
                             random_complex)
 from plink.homology import bareiss_step, boundary_matrix
@@ -382,6 +382,226 @@ def test_mobius_ilp_pivot_count_and_budget_statuses(monkeypatch, deadline):
     assert sol.status == BUDGET_EXCEEDED and not sol.chain
     sol = solve_ohcp_ilp(inst, budget=2)
     assert sol.status == BUDGET_EXCEEDED and sol.objective == F(13, 10)
+
+
+# -- crash start against the all-artificial two-phase start --------------------
+
+def two_phase_reference(lp):
+    """solve_lp_exact with the all-artificial start: every row gets an
+    artificial column 1 at d = 1, phase 1 always runs, and a pivot updates
+    every other row.  The slow reference of the crash start; its final
+    tableau warm-starts branch and bound like solve_lp_exact's."""
+    m, n = len(lp.rows), len(lp.objective)
+    scale = math.lcm(*(v.denominator for r in lp.rows + [lp.rhs] for v in r))
+    cost_scale = math.lcm(*(v.denominator for v in lp.objective))
+    T = []
+    for i, (row, b) in enumerate(zip(lp.rows, lp.rhs)):
+        f = -scale if b < 0 else scale
+        T.append([int(v * f) for v in row] + [int(k == i) for k in range(m)]
+                 + [int(b * f)])
+    T.append([int(v * cost_scale) for v in lp.objective] + [0] * (m + 1))
+    T.append([-sum(row[j] for row in T[:m]) for j in range(n)]
+             + [0] * m + [-sum(row[-1] for row in T[:m])])
+    tab = ohcp._Tableau(T, [n + i for i in range(m)], 1, cost_scale)
+    basis = tab.basis
+
+    def pivot(ri, cj):
+        tab.d = bareiss_step(T, ri, cj, tab.d,
+                             [i for i in range(len(T)) if i != ri],
+                             range(len(T[ri])))
+        if tab.d < 0:
+            T[:] = [[-v for v in row] for row in T]
+            tab.d = -tab.d
+        basis[ri] = cj
+
+    def optimize(ncols):
+        while True:
+            entering = next((j for j in range(ncols) if T[-1][j] < 0), None)
+            if entering is None:
+                return True
+            rows = [i for i in range(len(basis)) if T[i][entering] > 0]
+            if not rows:
+                return False
+            pivot(min(rows, key=lambda i: (F(T[i][-1], T[i][entering]),
+                                           basis[i])), entering)
+
+    optimize(n + m)
+    if T.pop()[-1]:
+        return ohcp.LPResult(INFEASIBLE)
+    for i in reversed(range(len(basis))):
+        if basis[i] >= n:
+            j = next((j for j in range(n) if T[i][j]), None)
+            if j is None:
+                del T[i], basis[i]
+            else:
+                pivot(i, j)
+    for row in T:
+        del row[n:-1]
+    if not optimize(n):
+        return ohcp.LPResult(UNBOUNDED)
+    return tab.optimum()
+
+
+def random_lp(r):
+    """m <= 4 rows over n <= 6 columns, entries in -2..2, rhs of both signs;
+    half plant columns c e_i (a crash column if row i keeps its sign and
+    its scaled c is d), a third have a fractional rhs."""
+    m, n = r.randint(1, 4), r.randint(1, 6)
+    rows = [[r.randint(-2, 2) for _ in range(n)] for _ in range(m)]
+    if r.random() < 0.5:
+        for j in r.sample(range(n), r.randint(1, n)):
+            i = r.randrange(m)
+            for k in range(m):
+                rows[k][j] = 0
+            rows[i][j] = r.choice([1, 1, 2, -1])
+    den = r.choice([1, 1, 2, 3, 4, 6])
+    rhs = [F(r.randint(-4, 4), den) for _ in range(m)]
+    obj = [r.randint(-2, 2) for _ in range(n)]
+    return lp(obj, rows, rhs)
+
+
+def assert_feasible(lp, res, integral=False):
+    z = res.values[:len(lp.objective)]
+    assert all(v >= 0 for v in z)
+    for row, b in zip(lp.rows, lp.rhs):
+        assert sum(a * v for a, v in zip(row, z)) == b
+    assert res.objective == sum(c * v for c, v in zip(lp.objective, z))
+    assert not integral or all(v.denominator == 1 for v in z)
+
+
+def test_crash_start_matches_two_phase_reference(monkeypatch, deadline):
+    # both roots warm-start the same branch and bound; every status and
+    # objective, LP and ILP, must agree
+    deadline(60)
+    tableau, starts = ohcp._Tableau, []
+
+    def recording(T, basis, d, cost_scale):
+        starts.append(list(basis))
+        return tableau(T, basis, d, cost_scale)
+
+    r = random.Random(2525)
+    seen = dict.fromkeys([OPTIMAL, INFEASIBLE, UNBOUNDED, "crash rows",
+                          "no phase 1", "fractional rhs, no phase 1"], 0)
+    for _ in range(2000):
+        lp = random_lp(r)
+        with monkeypatch.context() as mp:
+            mp.setattr(ohcp, "_Tableau", recording)
+            mp.setattr(ohcp, "bareiss_step", exact_bareiss_step)
+            res = solve_lp_exact(lp)
+        ref = two_phase_reference(lp)
+        assert (res.status, res.objective) == (ref.status, ref.objective)
+        seen[res.status] += 1
+        if res.status == OPTIMAL:
+            assert_feasible(lp, res)
+        crash = [j < len(lp.objective) for j in starts[-1]]
+        seen["crash rows"] += any(crash)
+        seen["no phase 1"] += all(crash)
+        seen["fractional rhs, no phase 1"] += all(crash) and any(
+            b.denominator > 1 for b in lp.rhs)
+        with monkeypatch.context() as mp:
+            mp.setattr(ohcp, "solve_lp_exact", two_phase_reference)
+            ref = solve_ilp(lp, budget=200)
+        res = solve_ilp(lp, budget=200)
+        assert (res.status, res.objective) == (ref.status, ref.objective)
+        if res.status == OPTIMAL:
+            assert_feasible(lp, res, integral=True)
+    assert min(seen.values()) >= 50, seen
+
+
+def core_cycle(k):
+    """The oriented cycle 0 -> 1 -> ... -> k-1 -> 0."""
+    return {canon((i, (i + 1) % k)): 1 if i + 1 < k else -1
+            for i in range(k)}
+
+
+def weighted_mobius(k):
+    """The core cycle of mobius(k), rim edges at 1/10, core edges at 1."""
+    cx = mobius(k)
+    rim = {canon((i, (i + 2) % k)) for i in range(k)}
+    weights = {e: F(1, 10) if e in rim else F(1) for e in cx.edges}
+    return OHCPInstance(SimplicialComplex(cx.simplices, weights), 1,
+                        core_cycle(k))
+
+
+def weighted_annulus(k, seed):
+    """The core cycle of annulus(k), each edge at a seeded weight a/b."""
+    r = random.Random(seed)
+    cx = annulus(k)
+    weights = {e: F(r.randint(1, 9), r.randint(1, 4)) for e in cx.edges}
+    return OHCPInstance(SimplicialComplex(cx.simplices, weights), 1,
+                        core_cycle(k))
+
+
+HALF_CHAIN = {(1, 2): F(1, 2), (1, 4): F(-1, 2), (2, 4): F(-1, 2)}
+
+
+def test_crash_start_pivot_counts(monkeypatch):
+    # the all-artificial two-phase start took 23, 29, 72 and 17 pivots here
+    widths = []
+    pivot = ohcp._Tableau.pivot
+
+    def counting(tab, ri, cj):
+        widths.append(len(tab.T[ri]))
+        pivot(tab, ri, cj)
+
+    monkeypatch.setattr(ohcp._Tableau, "pivot", counting)
+    for inst, most, objective in (
+            (weighted_mobius(7), 9, F(7, 20)),
+            (weighted_mobius(9), 11, F(9, 20)),
+            (weighted_annulus(10, 1), 32, F(73, 6)),
+            # the rows scale by 2, and so does d
+            (OHCPInstance(mobius(5), 1, HALF_CHAIN), 7, F(3, 2))):
+        widths.clear()
+        assert solve_ohcp_lp(inst).objective == objective
+        assert 0 < len(widths) <= most
+        # no phase 1: no pivot sees an artificial column
+        assert set(widths) == {len(formulate(inst).objective) + 1}
+
+
+def test_ohcp_lp_dual_cocycle_certifies_the_optimum():
+    # max <u, c> over p-cocycles u with |u| <= w is the dual of the LP
+    cx = mobius(5)
+    for inst in (weighted_mobius(7), weighted_mobius(9),
+                 weighted_annulus(10, 1), OHCPInstance(cx, 1, HALF_CHAIN),
+                 OHCPInstance(cx, 2, {cx.p_simplices(2)[0]: -3}),
+                 OHCPInstance(cx, 0, {(0,): 1, (3,): -1})):
+        sol = solve_ohcp_lp(inst)
+        u, w = sol.cocycle, inst.complex.weight
+        assert u and all(type(v) is F and v for v in u.values())
+        for t in inst.complex.p_simplices(inst.p + 1):
+            assert sum(sign * u.get(f, 0)
+                       for f, sign in boundary_of(t).items()) == 0
+        assert all(abs(v) <= w(s) for s, v in u.items())
+        assert sum(v * inst.chain.get(s, 0)
+                   for s, v in u.items()) == sol.objective
+        assert sol.to_json()["cocycle"] == [
+            {"coeff": str(v), "simplex": list(s)}
+            for s, v in sorted(u.items())]
+        ilp = solve_ohcp_ilp(inst)
+        assert ilp.cocycle == {} and ilp.to_json()["cocycle"] == []
+
+
+def test_ohcp_rejects_tampered_dual_cocycle(monkeypatch):
+    # one reduced cost off by 1 / D moves u off the cocycles
+    optimum = ohcp._Tableau.optimum
+
+    def tampered(tab):
+        res = optimum(tab)
+        tab.T[-1][0] -= 1
+        return res
+
+    monkeypatch.setattr(ohcp._Tableau, "optimum", tampered)
+    with pytest.raises(InvalidArgument, match="dual certificate"):
+        solve_ohcp_lp(weighted_mobius(7))
+
+
+def test_negative_p_is_rejected():
+    # once accepted, then reported as "p=0 out of range for dim 2"
+    cx = annulus(3)
+    with pytest.raises(InvalidArgument, match="p=-1 is negative"):
+        OHCPInstance(complex=cx, p=-1, chain={})
+    with pytest.raises(InvalidArgument, match="p=-1 is negative"):
+        verify_homologous(cx, -1, {}, {})
 
 
 # -- OHCP ---------------------------------------------------------------------
