@@ -19,7 +19,6 @@ from .pipeline import ContractionLog, GatePolicy, reduce, report, scan_edges
 from .tugraph import (B_EVEN, B_ODD, CircuitDomainError, IncidenceGraph,
                       PreconditionError, b_parity, build_p_graph,
                       construct_preimage_circuit, enumerate_chordless_cycles,
-                      enumerate_circuits, is_totally_unimodular,
-                      map_circuit_f)
+                      is_totally_unimodular, map_circuit_f)
 
 __version__ = "0.1.0"

@@ -129,36 +129,39 @@ def _smith(M: list, m: int, n: int) -> list:
 
 def _unit_pivots(rows: dict) -> tuple:
     """(units, residual): eliminate +-1 pivots of the sparse matrix
-    rows = {row: {col: nonzero value}}, each row nonempty, least Markowitz
-    fill (row nnz - 1)(col nnz - 1) first, until none is left; the
-    invariant factors of the matrix are [1] * units followed by those of
-    the dense residual over the surviving rows and columns.  rows is
-    consumed.
+    rows = {row: {col: nonzero value}}, each row nonempty, until none is
+    left; the invariant factors of the matrix are [1] * units followed by
+    those of the dense residual over the surviving rows and columns.  rows
+    is consumed.
+
+    A last-in-first-out worklist, seeded with every row, holds the rows
+    not examined since they last changed.  A popped row pivots on its +-1
+    entry of shortest column; a row with none is dropped until an
+    elimination changes it.  So each pass over a row pays for a change to
+    it, and an empty worklist leaves no +-1 entry.
 
     A +-1 pivot clears the rest of its column by integral row operations;
     column operations then clear its row without touching any other row.
     Both are unimodular, and the pivot leaves an invariant factor 1
-    (Dumas-Saunders-Villard 2001; Markowitz 1957)."""
+    (Dumas-Saunders-Villard 2001)."""
     cols = {}                   # col -> rows holding a nonzero there
     for i, r in rows.items():
         for j in r:
             cols.setdefault(j, set()).add(i)
+    work = list(rows)
+    queued = set(work)
     units = 0
-    while True:
-        best = None
-        for i, r in rows.items():
-            fill = len(r) - 1
-            for j, v in r.items():
-                if v == 1 or v == -1:
-                    cost = fill * (len(cols[j]) - 1)
-                    if best is None or cost < best[0]:
-                        best = (cost, i, j)
-            if best is not None and best[0] == 0:
-                break
-        if best is None:
-            break
-        _, i, j = best
-        prow = rows.pop(i)
+    while work:
+        i = work.pop()
+        queued.discard(i)
+        prow = rows.get(i, {})
+        j = None
+        for c, v in prow.items():
+            if (v == 1 or v == -1) and (j is None or len(cols[c]) < least):
+                j, least = c, len(cols[c])
+        if j is None:
+            continue
+        del rows[i]
         for c in prow:
             cols[c].discard(i)
         f0 = prow.pop(j)
@@ -175,9 +178,31 @@ def _unit_pivots(rows: dict) -> tuple:
                     cols[c].discard(k)
             if not r:
                 del rows[k]
+            elif k not in queued:
+                queued.add(k)
+                work.append(k)
         units += 1
     keep = sorted({c for r in rows.values() for c in r})
     return units, [[r.get(c, 0) for c in keep] for r in rows.values()]
+
+
+def _snf(rows: dict) -> list:
+    """Invariant factors of the sparse matrix rows (consumed, as for
+    _unit_pivots): unit pivots first, the dense _smith on what is left."""
+    units, rest = _unit_pivots(rows)
+    return [1] * units + _smith(rest, len(rest), len(rest[0]) if rest else 0)
+
+
+def _sparse_boundary(rows, cols) -> dict:
+    """{row: {column index: +-1}}: the nonzero rows of _boundary(rows,
+    cols), read straight off the faces; rows is a set of simplices."""
+    out = {}
+    for j, sigma in enumerate(cols):
+        for k in range(len(sigma)):
+            face = sigma[:k] + sigma[k + 1:]
+            if face in rows:
+                out.setdefault(face, {})[j] = -1 if k % 2 else 1
+    return out
 
 
 def smith_normal_form(entries: list) -> list:
@@ -185,10 +210,8 @@ def smith_normal_form(entries: list) -> list:
     positive; r is its rank.  Unit pivots are eliminated sparsely first;
     the dense _smith reduces only what is left."""
     _shape(entries)
-    units, rest = _unit_pivots(
-        {i: r for i, row in enumerate(entries)
-         if (r := {j: v for j, v in enumerate(row) if v})})
-    return [1] * units + _smith(rest, len(rest), len(rest[0]) if rest else 0)
+    return _snf({i: r for i, row in enumerate(entries)
+                 if (r := {j: v for j, v in enumerate(row) if v})})
 
 
 def snf_solve(entries: list, d: list) -> Optional[list]:
@@ -290,24 +313,26 @@ def _homology(n_p: int, diag_p: list, diag_next: list) -> HomologyGroup:
         torsion_coeffs=[d for d in diag_next if d > 1])
 
 
+def _boundary_snf(complex: SimplicialComplex, p: int) -> list:
+    """Invariant factors of [d_p]; [] for the zero map outside 1..dim."""
+    if not 1 <= p <= complex.dim:
+        return []
+    return _snf(_sparse_boundary(complex.simplices, complex.p_simplices(p)))
+
+
 def homology_group(complex: SimplicialComplex, p: int) -> HomologyGroup:
     """H_p over the integers: betti number and torsion coefficients."""
     if not 0 <= p <= complex.dim:
         raise InvalidArgument(f"p={p} out of range for dim {complex.dim}")
-    return _homology(
-        len(complex.p_simplices(p)),
-        smith_normal_form(boundary_matrix(complex, p).entries
-                          if p >= 1 else []),
-        smith_normal_form(boundary_matrix(complex, p + 1).entries
-                          if p < complex.dim else []))
+    return _homology(len(complex.p_simplices(p)), _boundary_snf(complex, p),
+                     _boundary_snf(complex, p + 1))
 
 
 def homology_groups(complex: SimplicialComplex) -> list:
     """H_p for every 0 <= p <= dim, reducing each boundary matrix once:
     [d_p] serves both H_{p-1} and H_p."""
     n = complex.dim
-    diags = ([[]] + [smith_normal_form(boundary_matrix(complex, p).entries)
-                     for p in range(1, n + 1)] + [[]])
+    diags = [_boundary_snf(complex, p) for p in range(n + 2)]
     return [_homology(len(complex.p_simplices(p)), diags[p], diags[p + 1])
             for p in range(n + 1)]
 
@@ -356,12 +381,12 @@ def relative_boundary_matrix(pair: SubcomplexPair, q: Optional[int] = None
 def relative_homology_group(pair: SubcomplexPair) -> HomologyGroup:
     """H_p(L, L0) at the pair's dimension p."""
     p = pair.p
-    rel_p1 = relative_boundary_matrix(pair, p + 1)
-    return _homology(
-        len(rel_p1.rows),
-        smith_normal_form(relative_boundary_matrix(pair, p).entries
-                          if p >= 1 else []),
-        smith_normal_form(rel_p1.entries))
+    rel = pair.L.simplices - pair.L0.simplices
+    cells = [[s for s in pair.L.p_simplices(q) if s in rel]
+             for q in (p, p + 1)]
+    return _homology(len(cells[0]),
+                     _snf(_sparse_boundary(rel, cells[0])) if p >= 1 else [],
+                     _snf(_sparse_boundary(rel, cells[1])))
 
 
 class Truncated:

@@ -6,7 +6,7 @@ from typing import Optional
 
 from .complexes import (InvalidArgument, SimplicialComplex, contract_edge,
                         p_link_holds)
-from .homology import boundary_matrix, homology_group, homology_groups
+from .homology import boundary_matrix, homology_groups
 from .tugraph import is_totally_unimodular
 
 FULL_LINK = "full-link"
@@ -116,11 +116,13 @@ def report(before: SimplicialComplex, after: SimplicialComplex,
            dims: list, tu_budget: Optional[int] = None) -> dict:
     """Per-dimension homology and TU verdicts for both complexes, with deltas."""
     out = {"dimensions": {}}
+    sides = [(tag, cx, homology_groups(cx))
+             for tag, cx in (("before", before), ("after", after))]
     for p in dims:
         entry = {}
-        for tag, cx in (("before", before), ("after", after)):
+        for tag, cx, groups in sides:
             if 0 <= p <= cx.dim:
-                g = homology_group(cx, p)
+                g = groups[p]
                 row = {"betti": g.betti, "torsion": list(g.torsion_coeffs)}
             else:
                 row = {"betti": 0, "torsion": []}

@@ -19,8 +19,9 @@ from plink.homology import (SubcomplexPair, boundary_matrix,
 from plink.ohcp import (OPTIMAL, OHCPInstance, solve_ohcp_ilp, solve_ohcp_lp)
 from plink.tugraph import (B_ODD, IncidenceGraph, b_parity, build_p_graph,
                            construct_preimage_circuit,
-                           enumerate_chordless_cycles, enumerate_circuits,
-                           is_totally_unimodular, map_circuit_f)
+                           enumerate_chordless_cycles, is_totally_unimodular,
+                           map_circuit_f)
+from cycle_space import enumerate_circuits
 from test_complexes import (brute_edge_links, brute_link_condition,
                             brute_p_link)
 

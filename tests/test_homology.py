@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -5,11 +6,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from plink import homology
 from plink.complexes import InvalidArgument, SimplicialComplex
 from plink.fixtures import (annulus, cone, mobius, mobius_boundary,
                             punctured_mobius, random_complex)
-from plink.homology import (SubcomplexPair, TRUNCATED, _smith,
-                            _unit_pivots, boundary_matrix, det_int,
+from plink.homology import (SubcomplexPair, TRUNCATED, _boundary, _smith,
+                            _sparse_boundary, _unit_pivots, boundary_matrix,
+                            det_int,
                             enumerate_pure_pairs, has_relative_torsion,
                             homology_group, is_pure,
                             matrix_rank, relative_boundary_matrix,
@@ -301,12 +304,141 @@ def test_sparse_snf_matches_sympy(sympy):
 
 
 def test_grid_boundaries_leave_at_most_one_dense_column():
-    for twist in (False, True):
-        for p in (1, 2):
-            A = boundary_matrix(grid_surface(8, 8, twist), p).entries
-            units, rest = _unit_pivots(sparse_rows(A))
-            assert units == len(A) - 1 or units == len(A[0]) - 1
-            assert not rest or len(rest[0]) <= 1
+    for n in (8, 16, 24):
+        for twist in (False, True):
+            for p in (1, 2):
+                A = boundary_matrix(grid_surface(n, n, twist), p).entries
+                units, rest = _unit_pivots(sparse_rows(A))
+                assert units == len(A) - 1 or units == len(A[0]) - 1
+                assert not rest or len(rest[0]) <= 1
+
+
+def rescan_unit_pivots(rows: dict) -> tuple:
+    """The unit-pivot step as it was before the worklist: every pivot
+    rescans all surviving rows for the least Markowitz fill.  The slow
+    reference of _unit_pivots."""
+    cols = {}                   # col -> rows holding a nonzero there
+    for i, r in rows.items():
+        for j in r:
+            cols.setdefault(j, set()).add(i)
+    units = 0
+    while True:
+        best = None
+        for i, r in rows.items():
+            fill = len(r) - 1
+            for j, v in r.items():
+                if v == 1 or v == -1:
+                    cost = fill * (len(cols[j]) - 1)
+                    if best is None or cost < best[0]:
+                        best = (cost, i, j)
+            if best is not None and best[0] == 0:
+                break
+        if best is None:
+            break
+        _, i, j = best
+        prow = rows.pop(i)
+        for c in prow:
+            cols[c].discard(i)
+        f0 = prow.pop(j)
+        for k in cols.pop(j):
+            r = rows[k]
+            f = r.pop(j) * f0   # r[j] / prow[j], as prow[j] is +-1
+            for c, w in prow.items():
+                x = r.get(c, 0) - f * w
+                if x:
+                    r[c] = x
+                    cols[c].add(k)
+                else:
+                    del r[c]
+                    cols[c].discard(k)
+            if not r:
+                del rows[k]
+        units += 1
+    keep = sorted({c for r in rows.values() for c in r})
+    return units, [[r.get(c, 0) for c in keep] for r in rows.values()]
+
+
+def factors(units, rest):
+    """Invariant factors from the (units, residual) of a unit-pivot step."""
+    return [1] * units + _smith(rest, len(rest), len(rest[0]) if rest else 0)
+
+
+def cone_over(cx):
+    """The cone over cx: every top simplex joined to a new apex."""
+    apex = max(cx.vertices) + 1
+    return SimplicialComplex.from_maximal(
+        s + (apex,) for s in cx.p_simplices(cx.dim))
+
+
+def nonzero_rows(matrix):
+    """sparse_rows of an IntegerMatrix, keyed by row label."""
+    return {matrix.rows[i]: r for i, r in sparse_rows(matrix.entries).items()}
+
+
+def test_worklist_unit_pivots_match_rescan_reference(monkeypatch):
+    r = random.Random(0x28)
+    complexes = [random_complex(r, n_vertices=r.randint(6, 9),
+                                max_dim=r.randint(2, 5), n_generators=6)
+                 for _ in range(300)]
+    complexes += [grid_surface(n, m, twist) for n, m in
+                  [(5, 5), (5, 7), (6, 6), (7, 9), (8, 8), (12, 12),
+                   (16, 16), (24, 24)] for twist in (False, True)]
+    complexes += [cone_over(cx) for cx in
+                  (grid_surface(6, 6, False), grid_surface(10, 10, True),
+                   mobius(7), annulus(8))]
+    matrices = []
+    for cx in complexes:
+        simplices = cx.simplices
+        for p in range(1, cx.dim + 1):
+            rows, cols = tuple(cx.p_simplices(p - 1)), cx.p_simplices(p)
+            sparse = _sparse_boundary(simplices, cols)
+            assert sparse == nonzero_rows(_boundary(rows, cols))
+            matrices.append(sparse)
+    matrices += [sparse_rows(A) for A in sparse_matrices(0xBEEF, 400)]
+    # every per-pair slice the torsion oracle reduces
+    slices = []
+    real = homology._unit_pivots
+    monkeypatch.setattr(homology, "_unit_pivots", lambda rows: slices.append(
+        {i: dict(row) for i, row in rows.items()}) or real(rows))
+    for cx in (mobius(5), cone(4), SimplicialComplex.from_maximal(
+            [(0, i, i + 1) for i in range(1, 5)])):
+        has_relative_torsion(cx, 1, mode="oracle")
+    monkeypatch.undo()
+    assert len(slices) > 7000
+    residuals = 0
+    for rows in matrices + slices:
+        copy = {i: dict(row) for i, row in rows.items()}
+        units, rest = _unit_pivots(rows)
+        # an empty worklist leaves no +-1 entry
+        assert all(v not in (1, -1) for row in rest for v in row)
+        assert factors(units, rest) == factors(*rescan_unit_pivots(copy))
+        residuals += bool(rest)
+    assert residuals > 50
+
+
+def test_sparse_boundary_matches_dense_on_relative_pairs():
+    r = random.Random(0x5EED)
+    pairs = 0
+    for _ in range(30):
+        cx = random_complex(r, n_vertices=6, max_dim=3, n_generators=4)
+        for p in range(cx.dim):
+            for pair in itertools.islice(enumerate_pure_pairs(cx, p), 0,
+                                         200, 7):
+                rel = pair.L.simplices - pair.L0.simplices
+                for q in range(max(p, 1), p + 2):
+                    dense = relative_boundary_matrix(pair, q)
+                    assert (_sparse_boundary(rel, dense.cols)
+                            == nonzero_rows(dense))
+                # the dense reference of relative_homology_group
+                top = relative_boundary_matrix(pair, p + 1)
+                diag = dense_factors(top.entries)
+                rank_p = (len(dense_factors(relative_boundary_matrix(
+                    pair, p).entries)) if p >= 1 else 0)
+                assert relative_homology_group(pair).as_pair() == (
+                    len(top.rows) - rank_p - len(diag),
+                    tuple(d for d in diag if d > 1))
+                pairs += 1
+    assert pairs > 300
 
 
 @pytest.mark.parametrize("twist, expect", [

@@ -127,9 +127,9 @@ def test_reduce_snapshots_equal_per_p_homology():
 
 def test_homology_groups_reduce_each_boundary_matrix_once(monkeypatch):
     calls = []
-    snf = homology.smith_normal_form
-    monkeypatch.setattr(homology, "smith_normal_form",
-                        lambda entries: calls.append(entries) or snf(entries))
+    snf = homology._snf
+    monkeypatch.setattr(homology, "_snf",
+                        lambda rows: calls.append(rows) or snf(rows))
     groups = homology.homology_groups(RP2)
     assert len(calls) == RP2.dim
     assert [g.as_pair() for g in groups] == [(1, ()), (0, (2,)), (0, ())]
@@ -152,3 +152,23 @@ def test_report_shape_and_deltas():
     assert d1["before"]["betti"] == 1
     assert d1["delta"]["betti"] == d1["after"]["betti"] - 1
     assert d1["before"]["tu_boundary_p_plus_1"] is False   # Moebius torsion
+
+
+def test_report_reduces_each_boundary_matrix_once(monkeypatch):
+    # one homology_groups per complex: at most dim SNFs each, and every
+    # dimension past dim reads (0, [])
+    before = mobius(7)
+    after = reduce(before, GatePolicy(scope=FULL_LINK), max_steps=3)[0]
+    dims = [0, 1, 2, 3]
+    calls = []
+    snf = homology._snf
+    monkeypatch.setattr(homology, "_snf",
+                        lambda rows: calls.append(rows) or snf(rows))
+    out = report(before, after, dims=dims)
+    assert len(calls) <= before.dim + after.dim
+    for p in dims:
+        for tag, cx in (("before", before), ("after", after)):
+            row = out["dimensions"][p][tag]
+            pair = (homology_group(cx, p).as_pair() if 0 <= p <= cx.dim
+                    else (0, ()))
+            assert (row["betti"], tuple(row["torsion"])) == pair

@@ -14,8 +14,9 @@ from plink.tugraph import (B_EVEN, B_ODD, CircuitDomainError, IncidenceGraph,
                            PreconditionError, _tu_by_circuit_search,
                            _tu_by_signed_colouring, b_parity, build_p_graph,
                            check_circuit, construct_preimage_circuit, det_int,
-                           enumerate_chordless_cycles, enumerate_circuits,
-                           is_totally_unimodular, map_circuit_f)
+                           enumerate_chordless_cycles, is_totally_unimodular,
+                           map_circuit_f)
+from cycle_space import enumerate_circuits
 
 sign_matrix_st = st.integers(1, 5).flatmap(
     lambda m: st.integers(1, 5).flatmap(
