@@ -9,8 +9,7 @@ from .complexes import (COLLAPSING, INJECTIVE, MIRROR, Chain, EdgeContraction,
 from .homology import (HomologyGroup, IntegerMatrix, SubcomplexPair, Verdict,
                        boundary_matrix, enumerate_pure_pairs,
                        has_relative_torsion, homology_group,
-                       homology_groups, is_pure, matrix_rank,
-                       relative_boundary_matrix,
+                       homology_groups, is_pure, relative_boundary_matrix,
                        relative_homology_group, smith_normal_form, snf_solve)
 from .ohcp import (LinearProgram, LPResult, LPSolution, OHCPInstance,
                    formulate, solve_ilp, solve_lp_exact, solve_ohcp_ilp,

@@ -64,6 +64,23 @@ def chain_boundary(chain: Chain) -> Chain:
     return out
 
 
+def _weights(simplices: frozenset, weights: Optional[Mapping]) -> dict:
+    """Canonical simplex -> Fraction weight; a simplex outside the complex, a
+    negative weight or weights on two dimensions is an InvalidArgument."""
+    w = {}
+    for s, wt in (weights or {}).items():
+        s = canon(s)
+        if s not in simplices:
+            raise InvalidArgument(f"weighted simplex {s} not in complex")
+        wt = Fraction(wt)
+        if wt < 0:
+            raise InvalidArgument(f"negative weight on {s}")
+        w[s] = wt
+    if len({len(s) for s in w}) > 1:
+        raise InvalidArgument("weights must live on a single dimension")
+    return w
+
+
 class SimplicialComplex:
     """Face-closed set of simplices with optional weights on one dimension."""
 
@@ -81,32 +98,18 @@ class SimplicialComplex:
                     raise InvalidArgument(
                         f"not face-closed: {f} missing (face of {s})")
         self.simplices = ss
-        w = {}
-        if weights:
-            dims = set()
-            for s, wt in weights.items():
-                s = canon(s)
-                if s not in ss:
-                    raise InvalidArgument(f"weighted simplex {s} not in complex")
-                wt = Fraction(wt)
-                if wt < 0:
-                    raise InvalidArgument(f"negative weight on {s}")
-                dims.add(len(s))
-                w[s] = wt
-            if len(dims) > 1:
-                raise InvalidArgument("weights must live on a single dimension")
-        self.weights = w
+        self.weights = _weights(ss, weights)
 
     @classmethod
-    def _contracted(cls, simplices: frozenset, weights: dict, cofaces: dict,
-                    edges: Optional[list]) -> "SimplicialComplex":
-        """The target of contract_edge, from parts that are already
-        canonical, face-closed and consistent; skips __init__'s checks.
-        A None edge list is built on first use."""
+    def _trusted(cls, simplices: frozenset, weights: dict, cofaces=None,
+                 edges=None) -> "SimplicialComplex":
+        """A complex from parts already canonical, face-closed and consistent,
+        unchecked; a coface index or edge list left None is built on use."""
         cx = cls.__new__(cls)
         cx.simplices = simplices
         cx.weights = weights
-        cx._cofaces = cofaces
+        if cofaces is not None:
+            cx._cofaces = cofaces
         if edges is not None:
             cx._edges = edges
         return cx
@@ -116,20 +119,15 @@ class SimplicialComplex:
                      weights: Optional[Mapping] = None) -> "SimplicialComplex":
         """Build from generators; the face closure is taken automatically.
         The closure of canonical generators is canonical and face-closed,
-        so an unweighted call skips __init__'s checks."""
+        so only the weights are checked."""
         closed = set()
         for s in simplices:
             closed.update(faces_of(canon(s)))
-        if weights:
-            return cls(closed, {canon(s): Fraction(w)
-                                for s, w in weights.items()})
-        cx = cls.__new__(cls)
         # Built entry by entry, as __init__ builds it: a copy of the set
         # would get a denser hash table, and slower lookups in every
         # contraction that inherits it.
-        cx.simplices = frozenset(iter(closed))
-        cx.weights = {}
-        return cx
+        ss = frozenset(iter(closed))
+        return cls._trusted(ss, _weights(ss, weights))
 
     # -- basic queries ------------------------------------------------------
 
@@ -224,17 +222,9 @@ class SimplicialComplex:
         return frozenset(out)
 
     def link(self, subset: Iterable[Simplex]) -> frozenset:
-        """Lk X = closure(star X) minus star(closure X).
-
-        For a single simplex s this is {t minus s : t a proper coface of s},
-        read straight from the coface index.
-        """
+        """Lk X = closure(star X) minus star(closure X)."""
         sub = self._require(subset)
-        if len(sub) != 1:
-            return self.closure(self.star(sub)) - self.star(self.closure(sub))
-        (s,) = sub
-        return frozenset(tuple(u for u in t if u not in s)
-                         for t in self._cofaces_of(s) if len(t) > len(s))
+        return self.closure(self.star(sub)) - self.star(self.closure(sub))
 
     # -- link conditions ----------------------------------------------------
 
@@ -423,8 +413,8 @@ def contract_edge(complex: SimplicialComplex, edge: Iterable[int],
                     # preimages, an unweighted twin counting as 1
                     w = min(w, complex.weight(img))
                 weights[img] = w
-    target = SimplicialComplex._contracted(kept.union(new), weights, cofaces,
-                                           edges)
+    target = SimplicialComplex._trusted(kept.union(new), weights, cofaces,
+                                        edges)
     return EdgeContraction(source=complex, target=target, a=a, b=b)
 
 

@@ -270,27 +270,6 @@ def det_int(mat: list) -> int:
     return sign * prev
 
 
-def matrix_rank(entries: list) -> int:
-    """Rank of an integer matrix; a column with no pivot is skipped."""
-    m, n = _shape(entries)
-    a = [list(row) for row in entries]
-    rank = 0
-    prev = 1
-    for c in range(n):
-        for i in range(rank, m):
-            if a[i][c]:
-                break
-        else:
-            continue
-        a[rank], a[i] = a[i], a[rank]
-        prev = bareiss_step(a, rank, c, prev, range(rank + 1, m),
-                            range(c + 1, n))
-        rank += 1
-        if rank == m:
-            break
-    return rank
-
-
 @dataclass
 class HomologyGroup:
     betti: int
@@ -503,14 +482,8 @@ def has_relative_torsion(complex: SimplicialComplex, p: int,
     # The relative [d_{p+1}] of a pair is a slice of [d_{p+1}]: its columns
     # are L's (p+1)-simplices S, its rows their p-faces not in L0.  Pairs
     # are taken in enumerate_pure_pairs' order; only a witness is built.
-    tops = complex.p_simplices(p + 1)
-    col_faces = [[(s[:k] + s[k + 1:], -1 if k % 2 else 1)
-                  for k in range(p + 2)] for s in tops]
-    for cols in _nonempty_subsets(range(len(tops))):
-        star = {}               # p-face of S -> {column: sign}
-        for j in cols:
-            for face, sign in col_faces[j]:
-                star.setdefault(face, {})[j] = sign
+    for top_subset in _nonempty_subsets(complex.p_simplices(p + 1)):
+        star = _sparse_boundary(complex.simplices, top_subset)
         for l0 in _nonempty_subsets(sorted(star)):
             try:
                 budget.spend()
@@ -522,7 +495,7 @@ def has_relative_torsion(complex: SimplicialComplex, p: int,
             if rest and any(d > 1 for d in
                             _smith(rest, len(rest), len(rest[0]))):
                 pair = SubcomplexPair(
-                    L=SimplicialComplex.from_maximal(tops[j] for j in cols),
+                    L=SimplicialComplex.from_maximal(top_subset),
                     L0=SimplicialComplex.from_maximal(l0), p=p)
                 return Verdict(True, "oracle", witness=pair,
                                budget_used=budget.used)

@@ -115,6 +115,8 @@ def reduce(complex: SimplicialComplex, policy: GatePolicy,
 def report(before: SimplicialComplex, after: SimplicialComplex,
            dims: list, tu_budget: Optional[int] = None) -> dict:
     """Per-dimension homology and TU verdicts for both complexes, with deltas."""
+    if any(p < 0 for p in dims):
+        raise InvalidArgument(f"report dimension {min(dims)} is negative")
     out = {"dimensions": {}}
     sides = [(tag, cx, homology_groups(cx))
              for tag, cx in (("before", before), ("after", after))]

@@ -1,4 +1,4 @@
-"""End-to-end acceptance sweep: eleven numbered checks, one PASS/FAIL line each.
+"""End-to-end acceptance sweep: twelve numbered checks, one PASS/FAIL line each.
 
 Run with `pytest -v -s tests/test_acceptance.py` to see the summary lines.
 """
@@ -32,6 +32,13 @@ def report(n, ok, budget_s, elapsed, detail):
     print(line)
     assert ok, line
     assert elapsed < budget_s, line
+
+
+def cone_over(cx, apex):
+    """The cone over cx: its simplices, each also joined with apex, a vertex
+    above all of cx's."""
+    return SimplicialComplex.from_maximal(
+        [(apex,)] + [s + (apex,) for s in cx.simplices])
 
 
 CORPUS = {
@@ -317,3 +324,56 @@ def test_criterion_11_link_kernel_matches_closure_star_oracle():
     report(11, bad == 0 and len(verdicts) == 3, 10, time.time() - t0,
            f"link_defect and both gates == closure/star oracle on {edges} "
            f"edges of {len(complexes)} complexes, {bad} mismatches")
+
+
+def test_criterion_12_two_link_keeps_boundary_3_tu_and_is_sharp():
+    # Claim (iii) at p = 2: a contraction passing the 2-link gate keeps
+    # [d_3] TU, so it creates no relative torsion in dimension 2.  It is
+    # sharp: [d_{p+1}] of a cone is [+-I; +-d_p] up to row order, so each
+    # coning of the punctured Moebius band lifts criterion 6's edge, which
+    # fails every q-link condition for 1 <= q <= p, to a witness one
+    # dimension up
+    t0 = time.time()
+    e = PUNCTURED_MOBIUS_EDGE
+    band = punctured_mobius(15)
+    cone = cone_over(band, 15)
+    sharp = []
+    for p, cx in ((1, band), (2, cone), (3, cone_over(cone, 16))):
+        tgt = contract_edge(cx, e).target
+        before = is_totally_unimodular(boundary_matrix(cx, p + 1))
+        after = is_totally_unimodular(boundary_matrix(tgt, p + 1))
+        sharp.append(
+            not any(cx.satisfies_p_link(e, q) for q in range(1, p + 1))
+            and (before.status, before.budget_used) == (True, 13)
+            and (after.status, after.budget_used) == (False, 14)
+            and b_parity(build_p_graph(tgt, p + 1), after.witness) == B_ODD
+            and has_relative_torsion(cx, p, mode="tu").status is False
+            and has_relative_torsion(tgt, p, mode="tu").status is True)
+    rng = random.Random(1212)
+    n_tu = gated = bad = 0
+    while n_tu < 100:
+        cx = random_complex(rng, n_vertices=7, max_dim=3, n_generators=5)
+        if cx.dim < 3 or not is_totally_unimodular(
+                boundary_matrix(cx, 3)).status:
+            continue
+        n_tu += 1
+        for f in cx.edges:
+            if not cx.satisfies_p_link(f, 2):
+                continue
+            tgt = contract_edge(cx, f).target
+            gated += 1
+            if tgt.dim >= 3 and is_totally_unimodular(
+                    boundary_matrix(tgt, 3)).status is not True:
+                bad += 1
+    # the cone's own edges away from the apex that pass the 2-link gate
+    cone_edges = [f for f in cone.edges
+                  if 15 not in f and cone.satisfies_p_link(f, 2)]
+    for f in cone_edges:
+        if is_totally_unimodular(boundary_matrix(
+                contract_edge(cone, f).target, 3)).status is not True:
+            bad += 1
+    ok = sharp == [True] * 3 and bad == 0 and cone_edges
+    report(12, ok, 10, time.time() - t0,
+           f"sharp at p=1,2,3: {sharp}; [d_3] TU after {gated} 2-link-gated "
+           f"contractions of {n_tu} TU 3-complexes and {len(cone_edges)} "
+           f"of the cone, {bad} bad")

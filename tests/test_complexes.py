@@ -36,6 +36,12 @@ def brute_link(cx, subset):
             - brute_star(cx, brute_closure(cx, subset)))
 
 
+def coface_link(cx, s):
+    """The link of one simplex s as {t minus s : t a proper coface of s}."""
+    return {tuple(u for u in t if u not in s) for t in cx.simplices
+            if set(s) < set(t)}
+
+
 def brute_edge_links(cx, e):
     a, b = e
     common = brute_link(cx, [(a,)]) & brute_link(cx, [(b,)])
@@ -56,7 +62,7 @@ def brute_link_condition(cx, e):
 
 def three_link_defect(cx, e):
     """Reference for link_defect: (Lk a && Lk b) minus Lk ab, from three
-    single-simplex links read off the coface index."""
+    links of single simplices, each closure(star) minus star(closure)."""
     a, b = e
     return (cx.link([(a,)]) & cx.link([(b,)])) - cx.link([e])
 
@@ -122,10 +128,24 @@ def test_from_maximal_closes():
     assert cx.vertices == [0, 1, 2]
 
 
+def draw_weights(r, closure):
+    """Weights on some simplices of one dimension of the closure, keyed in a
+    shuffled vertex order and given as strings, ints or Fractions."""
+    if not closure:
+        return {}
+    d = r.choice(sorted({len(s) for s in closure}))
+    pool = sorted(s for s in closure if len(s) == d)
+    return {tuple(r.sample(s, len(s))):
+            r.choice(["1/3", "7/2", "0", 2, 0, Fraction(5, 7)])
+            for s in r.sample(pool, r.randint(1, len(pool)))}
+
+
 def test_from_maximal_matches_checked_constructor():
-    # the unweighted from_maximal skips __init__'s checks; it must build
-    # the same complex as __init__ on the closure of the generators
+    # from_maximal skips __init__'s closure checks; with or without weights
+    # it must build the same complex as __init__ on the closure of the
+    # generators
     r = random.Random(0xC105)
+    rw = random.Random(0xC106)
     for _ in range(200):
         gens = [tuple(r.sample(range(8), r.randint(1, 4)))
                 for _ in range(r.randint(0, 6))]
@@ -133,29 +153,57 @@ def test_from_maximal_matches_checked_constructor():
         gens += [g[:r.randint(1, len(g))] for g in gens[:2]]        # faces
         r.shuffle(gens)
         closure = {f for g in gens for f in faces_of(tuple(sorted(g)))}
-        cx = SimplicialComplex.from_maximal(gens)
-        ref = SimplicialComplex(closure)
-        assert cx == ref
-        assert (cx.simplices, cx.weights, cx.dim) == (ref.simplices,
-                                                     ref.weights, ref.dim)
+        for weights in (None, draw_weights(rw, closure)):
+            cx = SimplicialComplex.from_maximal(gens, weights)
+            ref = SimplicialComplex(closure, weights)
+            assert cx == ref
+            assert (cx.simplices, cx.weights, cx.dim) == (ref.simplices,
+                                                         ref.weights, ref.dim)
     for bad in [(), (1, 1), (0, -1), (2, 3, 2)]:
         with pytest.raises(InvalidArgument):
             SimplicialComplex.from_maximal([(0, 1), bad])
+
+
+def weight_errors(gens, weights):
+    """The InvalidArgument messages of from_maximal and of __init__ on the
+    closure of the generators, for the same weights."""
+    closure = {f for g in gens for f in faces_of(canon(g))}
+    messages = []
+    for build in (lambda: SimplicialComplex.from_maximal(gens, weights),
+                  lambda: SimplicialComplex(closure, weights)):
+        with pytest.raises(InvalidArgument) as exc:
+            build()
+        messages.append(str(exc.value))
+    return messages
 
 
 def test_weights_single_dimension_only():
     with pytest.raises(InvalidArgument):
         SimplicialComplex.from_maximal(
             [(0, 1, 2)], weights={(0, 1): 1, (0, 1, 2): 1})
+    # both constructors reject the same weights with the same message
+    for weights, message in [
+            ({(0, 1): 1, (2, 1, 0): 1},
+             "weights must live on a single dimension"),
+            ({(1, 0): 1, (3, 2): "1/2"},
+             "weighted simplex (2, 3) not in complex"),
+            ({(2, 0): "-1/3"}, "negative weight on (0, 2)")]:
+        assert weight_errors([(0, 1, 2)], weights) == [message] * 2
 
 
 def test_weight_defaults_to_one():
-    from fractions import Fraction
     cx = SimplicialComplex.from_maximal([(0, 1)], weights={(0, 1): "1/3"})
     assert cx.weight((0, 1)) == Fraction(1, 3)
     cx2 = SimplicialComplex.from_maximal([(0, 1), (1, 2)],
                                          weights={(0, 1): "1/3"})
     assert cx2.weight((1, 2)) == 1
+    # a key in any vertex order names its canonical simplex
+    cx3 = SimplicialComplex.from_maximal([(1, 0), (2, 1)],
+                                         weights={(1, 0): "1/3"})
+    assert cx3 == cx2 == SimplicialComplex(cx2.simplices, {(1, 0): "1/3"})
+    assert cx3.weights == {(0, 1): Fraction(1, 3)}
+    assert weight_errors([(1, 0)], {(1, 0): -1}) == [
+        "negative weight on (0, 1)"] * 2
 
 
 # -- star / link / closure ----------------------------------------------------
@@ -198,7 +246,7 @@ def differential_corpus():
 def test_indexed_link_kernel_matches_oracle(cx):
     r = random.Random(len(cx.simplices))
     for s in sorted(cx.simplices):
-        assert cx.link([s]) == brute_link(cx, [s])
+        assert cx.link([s]) == brute_link(cx, [s]) == coface_link(cx, s)
     pair = r.sample(sorted(cx.simplices), 2)
     assert cx.link(pair) == brute_link(cx, pair)
     for e in cx.edges:

@@ -10,14 +10,35 @@ from plink import homology
 from plink.complexes import InvalidArgument, SimplicialComplex
 from plink.fixtures import (annulus, cone, mobius, mobius_boundary,
                             punctured_mobius, random_complex)
-from plink.homology import (SubcomplexPair, TRUNCATED, _boundary, _smith,
-                            _sparse_boundary, _unit_pivots, boundary_matrix,
-                            det_int,
+from plink.homology import (SubcomplexPair, TRUNCATED, _boundary, _shape,
+                            _smith, _sparse_boundary, _unit_pivots,
+                            bareiss_step, boundary_matrix, det_int,
                             enumerate_pure_pairs, has_relative_torsion,
-                            homology_group, is_pure,
-                            matrix_rank, relative_boundary_matrix,
+                            homology_group, is_pure, relative_boundary_matrix,
                             relative_homology_group, smith_normal_form,
                             snf_solve)
+
+
+def matrix_rank(entries: list) -> int:
+    """Rank of an integer matrix by Bareiss elimination, the reference rank
+    of these tests; a column with no pivot is skipped."""
+    m, n = _shape(entries)
+    a = [list(row) for row in entries]
+    rank = 0
+    prev = 1
+    for c in range(n):
+        for i in range(rank, m):
+            if a[i][c]:
+                break
+        else:
+            continue
+        a[rank], a[i] = a[i], a[rank]
+        prev = bareiss_step(a, rank, c, prev, range(rank + 1, m),
+                            range(c + 1, n))
+        rank += 1
+        if rank == m:
+            break
+    return rank
 
 
 def matmul(A, B):

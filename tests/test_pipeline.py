@@ -154,6 +154,17 @@ def test_report_shape_and_deltas():
     assert d1["before"]["tu_boundary_p_plus_1"] is False   # Moebius torsion
 
 
+def test_report_rejects_negative_dimension(monkeypatch):
+    # it once raised "p=0 out of range for dim 2" from its TU branch
+    calls = []
+    monkeypatch.setattr(homology, "_snf", lambda rows: calls.append(rows))
+    for dims, p in (([-1, 0, 1], -1), ([0, -1, 1, -2], -2)):
+        with pytest.raises(InvalidArgument,
+                           match=f"report dimension {p} is negative"):
+            report(mobius(7), mobius(7), dims=dims)
+    assert not calls
+
+
 def test_report_reduces_each_boundary_matrix_once(monkeypatch):
     # one homology_groups per complex: at most dim SNFs each, and every
     # dimension past dim reads (0, [])
