@@ -8,8 +8,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional, Union
 
-from .complexes import (InvalidArgument, Simplex, SimplicialComplex, canon,
-                        faces_of)
+from .complexes import InvalidArgument, Simplex, SimplicialComplex, faces_of
 
 
 @dataclass

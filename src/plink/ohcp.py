@@ -87,6 +87,15 @@ class _Tableau:
                         objective=Fraction(-T[-1][-1], d * self.cost_scale),
                         _tableau=self)
 
+    def fractional(self, n: int) -> Optional[tuple]:
+        """(j, floor z[j]) of the most fractional z[j], j < n, or None."""
+        T, d = self.T, self.d
+        dist, j, low = max(((min(r, d - r), -j, T[i][-1] // d)
+                            for i, j in enumerate(self.basis)
+                            if j < n and (r := T[i][-1] % d)),
+                           default=(0, 0, 0))
+        return (-j, low) if dist else None
+
 
 def solve_lp_exact(lp: LinearProgram) -> LPResult:
     """Primal simplex over exact rationals, Bland's rule, from a crash basis.
@@ -172,17 +181,19 @@ def solve_lp_exact(lp: LinearProgram) -> LPResult:
     return tab.optimum()
 
 
-def _branch(parent: _Tableau, var: int, sense: int, val: int) -> LPResult:
+def _branch(parent: _Tableau, var: int, sense: int,
+            val: int) -> Optional[_Tableau]:
     """The parent's optimum plus one row z[var] + sense * s = val, with a new
     slack column s: sense 1 bounds z[var] <= val, sense -1 bounds
-    z[var] >= val.  Re-optimised by dual simplex from the parent's tableau.
+    z[var] >= val.  Re-optimised by dual simplex from the parent's tableau;
+    the optimal tableau, or None when the node is infeasible.
 
     z[var] is basic in row r, so the new row over the nonbasic columns is
     sense * (d e_var - T[r]) with d at s, and the rhs sense * (d val -
     T[r][-1]) < 0.  The reduced costs stay >= 0 (dual feasible).  Bland's
     rule for the dual: the row of least basic index among negative rhs
     entries leaves, the column of least ratio (lowest index on ties) enters;
-    a leaving row with no negative entry makes the node INFEASIBLE.  No
+    a leaving row with no negative entry makes the node infeasible.  No
     node can be unbounded.
     """
     d = parent.d
@@ -197,7 +208,7 @@ def _branch(parent: _Tableau, var: int, sense: int, val: int) -> LPResult:
     while True:
         rows = [i for i in range(len(basis)) if T[i][-1] < 0]
         if not rows:
-            return tab.optimum()
+            return tab
         leaving = min(rows, key=basis.__getitem__)
         lr, cost = T[leaving], T[-1]
         entering = None
@@ -207,7 +218,7 @@ def _branch(parent: _Tableau, var: int, sense: int, val: int) -> LPResult:
                           or cost[j] * lr[entering] > cost[entering] * a):
                 entering = j
         if entering is None:
-            return LPResult(status=INFEASIBLE)
+            return None
         tab.pivot(leaving, entering)
 
 
@@ -215,19 +226,29 @@ def solve_ilp(lp: LinearProgram, budget: Optional[int] = None) -> LPResult:
     """Branch and bound on fractional variables with exact LP relaxations.
 
     The root is ``solve_lp_exact``; a node is its parent plus one bound row,
-    re-optimised by dual simplex from the parent's final tableau
-    (``_branch``).  Branches on the most fractional variable, ties by lowest
-    index; depth first, floor branch first.  A node whose relaxation is
-    infeasible is pruned.  Only the root can be unbounded, since a child of
-    a bounded LP is bounded; then the ILP is unbounded iff it has an
-    integral point (Meyer's theorem for rational data).  There is none if
-    rows . z = rhs has no integral solution even without z >= 0
-    (``snf_solve``): INFEASIBLE.  Else the same search on a zero objective,
-    sharing the budget, decides UNBOUNDED, INFEASIBLE or BUDGET_EXCEEDED;
-    that search may never end without a budget.  budget caps the number of
-    node solves, the root's included.
+    re-optimised by dual simplex from the parent's final tableau (``_branch``).
+    Branches on the most fractional variable, ties by lowest index: z[j] =
+    T[i][-1] / d is min(r, d - r) / d off an integer, r = T[i][-1] mod d.
+    Depth first, floor branch first; values become Fractions only at an
+    incumbent.  Infeasible nodes are pruned.  If rows . z = rhs has no integral
+    solution even without z >= 0 (``snf_solve``, skipped when each row i has a
+    column +-e_i and the rhs is integral), INFEASIBLE before any node.  Only
+    the root can be unbounded, since a child of a bounded LP is bounded; then
+    the ILP is unbounded iff it has an integral point (Meyer's theorem for
+    rational data): the same search on a zero objective, sharing the budget,
+    decides UNBOUNDED, INFEASIBLE or BUDGET_EXCEEDED, maybe never without a
+    budget.  budget caps the number of node solves, the root's included.
     """
-    n = len(lp.objective)
+    n, m = len(lp.objective), len(lp.rows)
+    units = {i for col in zip(*lp.rows) if col.count(0) == m - 1
+             for i, v in enumerate(col) if v in (1, -1)}
+    if len(units) < m or any(b.denominator != 1 for b in lp.rhs):
+        scale = math.lcm(*(v.denominator for r in lp.rows + [lp.rhs]
+                           for v in r))
+        y = snf_solve([_integral(r, scale) for r in lp.rows],
+                      _integral(lp.rhs, scale))
+        if y is None or any(v.denominator != 1 for v in y):
+            return LPResult(INFEASIBLE)
     budget = _Budget.of(budget)
     incumbent: Optional[LPResult] = None
     stack = [None]  # the root; a child is (parent tableau, var, sense, val)
@@ -237,30 +258,20 @@ def solve_ilp(lp: LinearProgram, budget: Optional[int] = None) -> LPResult:
         except _Spent:
             break
         node = stack.pop()
-        res = solve_lp_exact(lp) if node is None else _branch(*node)
-        if res.status == UNBOUNDED:
-            scale = math.lcm(*(v.denominator for r in lp.rows + [lp.rhs]
-                               for v in r))
-            y = snf_solve([_integral(r, scale) for r in lp.rows],
-                          _integral(lp.rhs, scale))
-            if y is None or any(v.denominator != 1 for v in y):
-                return LPResult(INFEASIBLE)
+        if node is None and (res := solve_lp_exact(lp)).status == UNBOUNDED:
             point = solve_ilp(replace(lp, objective=[0] * n), budget)
             return point if point.values is None else LPResult(UNBOUNDED)
-        if res.status != OPTIMAL:
+        tab = res._tableau if node is None else _branch(*node)
+        if tab is None:     # an infeasible relaxation
             continue
-        if incumbent is not None and res.objective >= incumbent.objective:
+        objective = Fraction(-tab.T[-1][-1], tab.d * tab.cost_scale)
+        if incumbent is not None and objective >= incumbent.objective:
             continue
-        values = res.values[:n]
-        dists = [abs(v - round(v)) for v in values]
-        frac_var = max(range(n), key=dists.__getitem__, default=None)
-        if frac_var is None or not dists[frac_var]:
-            incumbent = LPResult(status=OPTIMAL, values=values,
-                                 objective=res.objective)
+        if (frac := tab.fractional(n)) is None:
+            incumbent = LPResult(OPTIMAL, tab.optimum().values[:n], objective)
             continue
-        v = values[frac_var]
-        stack.append((res._tableau, frac_var, -1, math.ceil(v)))
-        stack.append((res._tableau, frac_var, 1, math.floor(v)))
+        var, low = frac
+        stack += [(tab, var, -1, low + 1), (tab, var, 1, low)]
     result = incumbent or LPResult(status=INFEASIBLE)
     if stack:   # the budget ran out with nodes left to solve
         result.status = BUDGET_EXCEEDED
@@ -335,13 +346,19 @@ def formulate(instance: OHCPInstance) -> LinearProgram:
 
 def _extract(instance: OHCPInstance, lp: LinearProgram,
              res: LPResult) -> LPSolution:
-    """Read x and y off the LP values and check x = c + dy.  An LP optimum
-    also gives the dual optimum u = w - r(x+), r the reduced costs: check
-    that u is a p-cocycle, |u| <= w and <u, c> is the objective
-    (Dey-Hirani-Krishnamoorthy 2011), over one denominator D."""
+    """Check x = c + dy on numerators over d, the tableau's (1 for an ILP
+    optimum): a value or c not over d fails.  An LP optimum also gives the dual
+    optimum u = w - r(x+), r the reduced costs: check that u is a p-cocycle,
+    |u| <= w and <u, c> is the objective (Dey-Hirani-Krishnamoorthy 2011)."""
     if res.values is None:
         return LPSolution(status=res.status)
-    v = res.values
+    tab = res._tableau
+    d = tab.d if tab else 1
+    c = instance.chain
+    if any(d % v.denominator for v in res.values + list(c.values())):
+        raise InvalidArgument("certificate identity x = c + dy failed")
+    v = _integral(res.values, d)
+    cd = dict(zip(c, _integral(list(c.values()), d)))
 
     def difference(simplices, at):
         k = len(simplices)
@@ -351,26 +368,25 @@ def _extract(instance: OHCPInstance, lp: LinearProgram,
     p_simplices, q_simplices = _layout(instance)
     chain = difference(p_simplices, 0)
     cert = difference(q_simplices, 2 * len(p_simplices))
-    c = instance.chain
-    moved = {s: d for s in chain.keys() | c.keys()
-             if (d := chain.get(s, 0) - c.get(s, 0))}
+    moved = {s: e for s in chain.keys() | cd.keys()
+             if (e := chain.get(s, 0) - cd.get(s, 0))}
     if moved != chain_boundary(cert):
         raise InvalidArgument("certificate identity x = c + dy failed")
-    sol = LPSolution(status=res.status, chain=chain, objective=res.objective,
-                     certificate=cert)
-    tab = res._tableau
+    sol = LPSolution(status=res.status, objective=res.objective,
+                     chain={s: Fraction(e, d) for s, e in chain.items()},
+                     certificate={s: Fraction(e, d) for s, e in cert.items()})
     if tab is None:     # an ILP optimum
         return sol
-    D = tab.d * tab.cost_scale
+    D = d * tab.cost_scale
     w = _integral(lp.objective[:len(p_simplices)], D)
     u = {s: ws - r for s, ws, r in zip(p_simplices, w, tab.T[-1])}
     if (any(sum(sign * u[f] for f, sign in boundary_of(t).items())
             for t in q_simplices)
             or any(abs(u[s]) > ws for s, ws in zip(p_simplices, w))
-            or sum(u[s] * v for s, v in c.items()) != res.objective * D):
+            or sum(u[s] * e for s, e in cd.items()) != res.objective * D * d):
         raise InvalidArgument("dual certificate u failed: not a cocycle, "
                               "past a weight or off the objective")
-    sol.cocycle = {s: Fraction(v, D) for s, v in u.items() if v}
+    sol.cocycle = {s: Fraction(e, D) for s, e in u.items() if e}
     return sol
 
 

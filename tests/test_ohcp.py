@@ -12,7 +12,7 @@ from plink.complexes import (InvalidArgument, SimplicialComplex, boundary_of,
                              canon, chain_boundary)
 from plink.fixtures import (annulus, cone, mobius, mobius_ohcp_instance,
                             random_complex)
-from plink.homology import bareiss_step, boundary_matrix
+from plink.homology import _Budget, bareiss_step, boundary_matrix
 from plink.ohcp import (BUDGET_EXCEEDED, INFEASIBLE, OPTIMAL, UNBOUNDED,
                         LinearProgram, OHCPInstance, formulate, solve_ilp,
                         solve_lp_exact, solve_ohcp_ilp, solve_ohcp_lp,
@@ -217,8 +217,14 @@ def test_ilp_knapsack_style():
 
 
 def test_ilp_budget_exceeded():
-    res = solve_ilp(lp([1, 1], [[2, 2]], [3]), budget=1)
-    assert res.status == BUDGET_EXCEEDED
+    # 2a + 2b = 3 has no integral solution at all: the lattice test at the
+    # root proves it before any node solve
+    assert solve_ilp(lp([1, 1], [[2, 2]], [3]), budget=1).status == INFEASIBLE
+    # min a + b s.t. 2a + 4b = 6: the root b = 3/2 is fractional, and
+    # (3, 0) and (1, 1) are integral points
+    res = solve_ilp(lp([1, 1], [[2, 4]], [6]), budget=1)
+    assert res.status == BUDGET_EXCEEDED and res.values is None
+    assert solve_ilp(lp([1, 1], [[2, 4]], [6])).values == [F(1), F(1)]
 
 
 def test_ilp_unbounded_relaxation_needs_an_integral_point(deadline):
@@ -231,6 +237,9 @@ def test_ilp_unbounded_relaxation_needs_an_integral_point(deadline):
     assert solve_ilp(lp([0, -1], [[2, 0]], [1])).status == INFEASIBLE
     # min -a s.t. 2a - 2b = 1: no integral solution even with a, b < 0
     assert solve_ilp(lp([-1, 0], [[2, -2]], [1])).status == INFEASIBLE
+    # min -a s.t. a - b = 1/2: a unit column does not make up for the rhs
+    res = solve_ilp(lp([-1, 0], [[1, -1]], [F(1, 2)]), budget=50)
+    assert res.status == INFEASIBLE
     # the search for an integral point honours the budget
     res = solve_ilp(lp([-1, 0], [[1, -1]], [1]), budget=1)
     assert res.status == BUDGET_EXCEEDED
@@ -249,6 +258,23 @@ def bounded(lp, var, sense, val):
                          rhs=lp.rhs + [val])
 
 
+def fraction_rule(values, n):
+    """solve_ilp's branching rule on Fractions: (var, floor, ceil) of the
+    most fractional of values[:n], ties by lowest index, or None when they
+    are integral.  The slow reference of _Tableau.fractional."""
+    dists = [abs(v - round(v)) for v in values[:n]]
+    var = max(range(n), key=dists.__getitem__, default=None)
+    if var is None or not dists[var]:
+        return None
+    return var, math.floor(values[var]), math.ceil(values[var])
+
+
+def tableau_rule(tab, n):
+    """_Tableau.fractional in fraction_rule's form."""
+    frac = tab.fractional(n)
+    return frac and (*frac, frac[1] + 1)
+
+
 def cold_ilp(lp):
     """Branch and bound in solve_ilp's order, every node an LP solved from
     scratch: (status, objective).  For LPs with a bounded relaxation."""
@@ -261,14 +287,13 @@ def cold_ilp(lp):
         if res.status != OPTIMAL or (best is not None
                                      and res.objective >= best):
             continue
-        values = res.values[:n]
-        dists = [abs(v - round(v)) for v in values]
-        j = max(range(n), key=dists.__getitem__)
-        if not dists[j]:
+        rule = fraction_rule(res.values, n)
+        if rule is None:
             best = res.objective
             continue
-        stack.append(bounded(node, j, -1, math.ceil(values[j])))
-        stack.append(bounded(node, j, 1, math.floor(values[j])))
+        j, low, high = rule
+        stack.append(bounded(node, j, -1, high))
+        stack.append(bounded(node, j, 1, low))
     return (INFEASIBLE, None) if best is None else (OPTIMAL, best)
 
 
@@ -293,25 +318,29 @@ def bounded_ilp(r):
 
 def walk_warm_children(lp, seen, limit=60):
     """Branch as solve_ilp does from every fractional node, at most limit
-    children: each warm child must give the status and objective of its
-    cold-start LP, and its values must be feasible there."""
+    children: the tableau's branching rule must pick fraction_rule's
+    (var, floor, ceil) at every node, each warm child must give the status
+    and objective of its cold-start LP, and its values, read off its
+    tableau, must be feasible there."""
     n = len(lp.objective)
     root = solve_lp_exact(lp)
     stack = [(root, lp)] if root.status == OPTIMAL else []
     while stack and limit > 0:
         res, node = stack.pop()
-        values = res.values[:n]
-        dists = [abs(v - round(v)) for v in values]
-        var = max(range(n), key=dists.__getitem__)
-        if not dists[var]:
-            continue
         tab = res._tableau
+        rule = fraction_rule(res.values, n)
+        assert tableau_rule(tab, n) == rule
+        seen["nodes"] += 1
+        if rule is None:
+            continue
+        var, low, high = rule
         r = tab.basis.index(var)
-        for sense, val in ((-1, math.ceil(values[var])),
-                           (1, math.floor(values[var]))):
+        for sense, val in ((-1, high), (1, low)):
             limit -= 1
             cold_lp = bounded(node, var, sense, val)
-            warm = ohcp._branch(tab, var, sense, val)
+            child = ohcp._branch(tab, var, sense, val)
+            warm = (ohcp.LPResult(INFEASIBLE) if child is None
+                    else child.optimum())
             cold = solve_lp_exact(cold_lp)
             assert (warm.status, warm.objective) == (cold.status,
                                                      cold.objective)
@@ -338,7 +367,7 @@ def test_warm_children_match_cold_solves_on_seeded_ilps(monkeypatch,
     deadline(30)
     monkeypatch.setattr(ohcp, "bareiss_step", exact_bareiss_step)
     r = random.Random(15)
-    seen = {OPTIMAL: 0, INFEASIBLE: 0, "tie": 0}
+    seen = {OPTIMAL: 0, INFEASIBLE: 0, "tie": 0, "nodes": 0}
     for _ in range(150):
         walk_warm_children(bounded_ilp(r), seen)
     assert min(seen.values()) > 0, seen
@@ -346,9 +375,35 @@ def test_warm_children_match_cold_solves_on_seeded_ilps(monkeypatch,
 
 def test_warm_children_match_cold_solves_on_mobius(deadline):
     deadline(30)
-    seen = {OPTIMAL: 0, INFEASIBLE: 0, "tie": 0}
-    walk_warm_children(formulate(mobius_ohcp_instance()), seen)
-    assert seen[OPTIMAL] >= 10
+    for inst in (mobius_ohcp_instance(), weighted_mobius(7),
+                 weighted_mobius(9)):
+        seen = {OPTIMAL: 0, INFEASIBLE: 0, "tie": 0, "nodes": 0}
+        walk_warm_children(formulate(inst), seen)
+        assert seen[OPTIMAL] >= 10
+
+
+def test_tableau_branching_matches_fraction_rule_at_every_node(monkeypatch):
+    # every node solve_ilp reads the rule at, from the root on: a tie for
+    # the most fractional variable must go to the lowest index there too
+    fractional, nodes, ties = ohcp._Tableau.fractional, [], 0
+
+    def checked(tab, n):
+        nonlocal ties
+        frac = fractional(tab, n)
+        values = tab.optimum().values[:n]
+        assert (frac and (*frac, frac[1] + 1)) == fraction_rule(values, n)
+        dists = [abs(v - round(v)) for v in values]
+        ties += frac is not None and dists.count(max(dists)) > 1
+        nodes.append(frac)
+        return frac
+
+    monkeypatch.setattr(ohcp._Tableau, "fractional", checked)
+    r = random.Random(1515)
+    for _ in range(300):
+        solve_ilp(bounded_ilp(r), budget=1000)
+    for k in (7, 9):
+        assert solve_ohcp_ilp(weighted_mobius(k)).status == OPTIMAL
+    assert None in nodes and len(nodes) > 500 and ties > 50, ties
 
 
 def test_ilp_matches_cold_branch_and_bound(deadline):
@@ -364,7 +419,8 @@ def test_ilp_matches_cold_branch_and_bound(deadline):
 
 
 def test_mobius_ilp_pivot_count_and_budget_statuses(monkeypatch, deadline):
-    # a cold start per node took 684 pivots over 21 nodes here
+    # a cold start per node took 684 pivots over 21 nodes here; pivots and
+    # node solves are machine-independent, so they are pinned exactly
     deadline(30)
     pivots = 0
 
@@ -375,9 +431,12 @@ def test_mobius_ilp_pivot_count_and_budget_statuses(monkeypatch, deadline):
 
     monkeypatch.setattr(ohcp, "bareiss_step", counting)
     inst = mobius_ohcp_instance()
-    sol = solve_ohcp_ilp(inst, budget=100)
-    assert sol.status == OPTIMAL and sol.objective == F(13, 10)
-    assert pivots <= 100
+    for case, objective, count in ((inst, F(13, 10), 29),
+                                   (weighted_mobius(9), F(7, 5), 31)):
+        pivots, budget = 0, _Budget(100)
+        sol = solve_ohcp_ilp(case, budget=budget)
+        assert (sol.status, sol.objective) == (OPTIMAL, objective)
+        assert (pivots, budget.used) == (count, 21)
     sol = solve_ohcp_ilp(inst, budget=1)
     assert sol.status == BUDGET_EXCEEDED and not sol.chain
     sol = solve_ohcp_ilp(inst, budget=2)
@@ -590,7 +649,20 @@ def test_ohcp_rejects_tampered_dual_cocycle(monkeypatch):
         tab.T[-1][0] -= 1
         return res
 
-    monkeypatch.setattr(ohcp._Tableau, "optimum", tampered)
+    with monkeypatch.context() as mp:
+        mp.setattr(ohcp._Tableau, "optimum", tampered)
+        with pytest.raises(InvalidArgument, match="dual certificate"):
+            solve_ohcp_lp(weighted_mobius(7))
+    # an objective off by 1/100 leaves x = c + dy and the cocycle intact,
+    # but not <u, c> = objective
+    solve = ohcp.solve_lp_exact
+
+    def shifted(lp):
+        res = solve(lp)
+        res.objective += F(1, 100)
+        return res
+
+    monkeypatch.setattr(ohcp, "solve_lp_exact", shifted)
     with pytest.raises(InvalidArgument, match="dual certificate"):
         solve_ohcp_lp(weighted_mobius(7))
 
@@ -653,6 +725,100 @@ def test_ohcp_rejects_tampered_certificate(monkeypatch):
     tamper_first_y(monkeypatch, cx, ohcp, "solve_lp_exact")
     with pytest.raises(InvalidArgument, match="certificate identity"):
         solve_ohcp_lp(OHCPInstance(complex=cx, p=1, chain=chain))
+
+
+def test_ohcp_rejects_value_off_the_tableau_denominator(monkeypatch):
+    # y+ of the first triangle is 0; 1 / 3d over the tableau's d would read
+    # as 0 on integer numerators over d, so the denominator itself must fail
+    cx = annulus(4)
+    chain = {(0, 1): 1, (1, 2): 1, (2, 3): 1, (0, 3): -1}
+    first_y = 2 * len(cx.p_simplices(1))
+    solve = ohcp.solve_lp_exact
+
+    def tampered(lp):
+        res = solve(lp)
+        assert res.values[first_y] == 0
+        res.values[first_y] = F(1, 3 * res._tableau.d)
+        return res
+
+    monkeypatch.setattr(ohcp, "solve_lp_exact", tampered)
+    with pytest.raises(InvalidArgument, match="certificate identity"):
+        solve_ohcp_lp(OHCPInstance(complex=cx, p=1, chain=chain))
+
+
+def fraction_extract(instance, lp, res):
+    """_extract over Fractions: the slow reference of its integer check."""
+    if res.values is None:
+        return ohcp.LPSolution(status=res.status)
+    v = res.values
+
+    def difference(simplices, at):
+        k = len(simplices)
+        return {s: v[at + i] - v[at + k + i] for i, s in enumerate(simplices)
+                if v[at + i] != v[at + k + i]}
+
+    p_simplices, q_simplices = ohcp._layout(instance)
+    chain = difference(p_simplices, 0)
+    cert = difference(q_simplices, 2 * len(p_simplices))
+    c = instance.chain
+    moved = {s: d for s in chain.keys() | c.keys()
+             if (d := chain.get(s, 0) - c.get(s, 0))}
+    if moved != chain_boundary(cert):
+        raise InvalidArgument("certificate identity x = c + dy failed")
+    sol = ohcp.LPSolution(status=res.status, chain=chain,
+                          objective=res.objective, certificate=cert)
+    tab = res._tableau
+    if tab is None:     # an ILP optimum
+        return sol
+    D = tab.d * tab.cost_scale
+    w = ohcp._integral(lp.objective[:len(p_simplices)], D)
+    u = {s: ws - r for s, ws, r in zip(p_simplices, w, tab.T[-1])}
+    if (any(sum(sign * u[f] for f, sign in boundary_of(t).items())
+            for t in q_simplices)
+            or any(abs(u[s]) > ws for s, ws in zip(p_simplices, w))
+            or sum(u[s] * v for s, v in c.items()) != res.objective * D):
+        raise InvalidArgument("dual certificate u failed: not a cocycle, "
+                              "past a weight or off the objective")
+    sol.cocycle = {s: F(v, D) for s, v in u.items() if v}
+    return sol
+
+
+def solution_types(sol):
+    return (sol.status, type(sol.objective),
+            [{s: type(v) for s, v in ch.items()}
+             for ch in (sol.chain, sol.certificate, sol.cocycle)])
+
+
+def test_extract_matches_fraction_reference(deadline):
+    # LP and ILP answers on weighted annuli, Moebius bands and random
+    # complexes, integral and half-integral chains: every LPSolution field
+    # and the type of every value agree with the Fraction reference
+    deadline(30)
+    r = random.Random(3131)
+    cases = [weighted_mobius(7), weighted_mobius(9), mobius_ohcp_instance(),
+             OHCPInstance(mobius(5), 1, HALF_CHAIN)]
+    cases += [weighted_annulus(k, seed) for k in (6, 8, 10) for seed in (1, 2)]
+    while len(cases) < 60:
+        cx = random_complex(r, n_vertices=6, max_dim=3, n_generators=5)
+        p = r.randrange(cx.dim + 1)
+        ps = cx.p_simplices(p)
+        chain = {s: r.choice([-2, -1, 1, 2, F(1, 2), F(-3, 2)])
+                 for s in r.sample(ps, min(3, len(ps)))}
+        cx = SimplicialComplex(cx.simplices, {
+            s: F(r.randint(0, 6), r.randint(1, 3)) for s in ps})
+        cases.append(OHCPInstance(cx, p, chain))
+    seen = set()
+    for inst in cases:
+        lp = formulate(inst)
+        for res in (solve_lp_exact(lp), solve_ilp(lp, budget=200)):
+            sol = ohcp._extract(inst, lp, res)
+            ref = fraction_extract(inst, lp, res)
+            assert sol == ref
+            assert solution_types(sol) == solution_types(ref)
+            seen.add((res._tableau is None, sol.status, bool(sol.chain),
+                      bool(sol.certificate), bool(sol.cocycle)))
+    assert {(False, OPTIMAL, True, True, True), (True, OPTIMAL, True, True,
+            False), (True, INFEASIBLE, False, False, False)} <= seen, seen
 
 
 def test_ohcp_checks_budget_exceeded_incumbent(monkeypatch):
