@@ -291,27 +291,55 @@ def _homology(n_p: int, diag_p: list, diag_next: list) -> HomologyGroup:
         torsion_coeffs=[d for d in diag_next if d > 1])
 
 
-def _boundary_snf(complex: SimplicialComplex, p: int) -> list:
-    """Invariant factors of [d_p]; [] for the zero map outside 1..dim."""
-    if not 1 <= p <= complex.dim:
+def _graph_rank(edges, ground=()) -> int:
+    """Rank of [d_1] over the edges, a network matrix: every invariant factor
+    is 1, and the rank is the number of unions of a union-find (path halving,
+    union by size; Tarjan 1975).  The vertices of ground are one node whose
+    row is dropped (a relative [d_1]); an edge inside ground is a loop."""
+    parent = dict.fromkeys(ground, g := next(iter(ground), None))
+    size = {g: len(parent)}     # of each root's tree; 1 when missing
+    rank = 0
+    for a, b in edges:          # each end climbs to its root, path halving
+        while (u := parent.setdefault(a, a)) != a:
+            parent[a] = a = parent[u]
+        while (u := parent.setdefault(b, b)) != b:
+            parent[b] = b = parent[u]
+        if a != b:
+            a, b = (a, b) if size.get(a, 1) <= size.get(b, 1) else (b, a)
+            parent[a] = b
+            size[b] = size.get(b, 1) + size.pop(a, 1)
+            rank += 1
+    return rank
+
+
+def _boundary_snf(simplices, p: int, dim: int, ground=()) -> list:
+    """Invariant factors of [d_p] over a set of simplices and their faces;
+    [] for the zero map outside 1..dim, _graph_rank with ground for [d_1]."""
+    if not 1 <= p <= dim:
         return []
-    return _snf(_sparse_boundary(complex.simplices, complex.p_simplices(p)))
+    if p == 1:
+        return [1] * _graph_rank((s for s in simplices if len(s) == 2), ground)
+    return _snf(_sparse_boundary(
+        simplices, sorted(s for s in simplices if len(s) == p + 1)))
 
 
 def homology_group(complex: SimplicialComplex, p: int) -> HomologyGroup:
     """H_p over the integers: betti number and torsion coefficients."""
-    if not 0 <= p <= complex.dim:
-        raise InvalidArgument(f"p={p} out of range for dim {complex.dim}")
-    return _homology(len(complex.p_simplices(p)), _boundary_snf(complex, p),
-                     _boundary_snf(complex, p + 1))
+    sizes = list(map(len, complex.simplices))
+    dim = max(sizes, default=0) - 1
+    if not 0 <= p <= dim:
+        raise InvalidArgument(f"p={p} out of range for dim {dim}")
+    return _homology(sizes.count(p + 1), *(
+        _boundary_snf(complex.simplices, q, dim) for q in (p, p + 1)))
 
 
 def homology_groups(complex: SimplicialComplex) -> list:
     """H_p for every 0 <= p <= dim, reducing each boundary matrix once:
     [d_p] serves both H_{p-1} and H_p."""
-    n = complex.dim
-    diags = [_boundary_snf(complex, p) for p in range(n + 2)]
-    return [_homology(len(complex.p_simplices(p)), diags[p], diags[p + 1])
+    sizes = list(map(len, complex.simplices))
+    n = max(sizes, default=0) - 1
+    diags = [_boundary_snf(complex.simplices, p, n) for p in range(n + 2)]
+    return [_homology(sizes.count(p + 1), diags[p], diags[p + 1])
             for p in range(n + 1)]
 
 
@@ -319,13 +347,8 @@ def homology_groups(complex: SimplicialComplex) -> list:
 
 def is_pure(complex: SimplicialComplex, dim: int) -> bool:
     """Every simplex is a face of a dim-dimensional simplex."""
-    tops = complex.p_simplices(dim)
-    if complex.dim != dim:
-        return False
-    covered = set()
-    for s in tops:
-        covered.update(faces_of(s))
-    return covered == set(complex.simplices)
+    return complex.dim == dim and complex.simplices == set().union(
+        *map(faces_of, complex.p_simplices(dim)))
 
 
 @dataclass(frozen=True)
@@ -348,23 +371,20 @@ def relative_boundary_matrix(pair: SubcomplexPair, q: Optional[int] = None
                              ) -> IntegerMatrix:
     """Boundary matrix of C_q(L, L0) -> C_{q-1}(L, L0): rows and columns are
     restricted to simplices of L not in L0.  Defaults to q = p + 1."""
-    if q is None:
-        q = pair.p + 1
-    in_l0 = pair.L0.simplices
-    return _boundary(
-        tuple(s for s in pair.L.p_simplices(q - 1) if s not in in_l0),
-        tuple(s for s in pair.L.p_simplices(q) if s not in in_l0))
+    q = pair.p + 1 if q is None else q
+    rel = pair.L.simplices - pair.L0.simplices
+    return _boundary(tuple(s for s in pair.L.p_simplices(q - 1) if s in rel),
+                     tuple(s for s in pair.L.p_simplices(q) if s in rel))
 
 
 def relative_homology_group(pair: SubcomplexPair) -> HomologyGroup:
     """H_p(L, L0) at the pair's dimension p."""
     p = pair.p
     rel = pair.L.simplices - pair.L0.simplices
-    cells = [[s for s in pair.L.p_simplices(q) if s in rel]
-             for q in (p, p + 1)]
-    return _homology(len(cells[0]),
-                     _snf(_sparse_boundary(rel, cells[0])) if p >= 1 else [],
-                     _snf(_sparse_boundary(rel, cells[1])))
+    ground = [s[0] for s in pair.L0.simplices if len(s) == 1]
+    return _homology(sum(len(s) == p + 1 for s in rel),
+                     _boundary_snf(rel, p, p + 1, ground),
+                     _boundary_snf(rel, p + 1, p + 1, ground))
 
 
 class Truncated:

@@ -239,7 +239,7 @@ def solve_ilp(lp: LinearProgram, budget: Optional[int] = None) -> LPResult:
     decides UNBOUNDED, INFEASIBLE or BUDGET_EXCEEDED, maybe never without a
     budget.  budget caps the number of node solves, the root's included.
     """
-    n, m = len(lp.objective), len(lp.rows)
+    m = len(lp.rows)
     units = {i for col in zip(*lp.rows) if col.count(0) == m - 1
              for i, v in enumerate(col) if v in (1, -1)}
     if len(units) < m or any(b.denominator != 1 for b in lp.rhs):
@@ -249,7 +249,12 @@ def solve_ilp(lp: LinearProgram, budget: Optional[int] = None) -> LPResult:
                       _integral(lp.rhs, scale))
         if y is None or any(v.denominator != 1 for v in y):
             return LPResult(INFEASIBLE)
-    budget = _Budget.of(budget)
+    return _branch_and_bound(lp, _Budget.of(budget))
+
+
+def _branch_and_bound(lp: LinearProgram, budget: _Budget) -> LPResult:
+    """The search of solve_ilp, past the lattice test it runs only once."""
+    n = len(lp.objective)
     incumbent: Optional[LPResult] = None
     stack = [None]  # the root; a child is (parent tableau, var, sense, val)
     while stack:
@@ -259,7 +264,7 @@ def solve_ilp(lp: LinearProgram, budget: Optional[int] = None) -> LPResult:
             break
         node = stack.pop()
         if node is None and (res := solve_lp_exact(lp)).status == UNBOUNDED:
-            point = solve_ilp(replace(lp, objective=[0] * n), budget)
+            point = _branch_and_bound(replace(lp, objective=[0] * n), budget)
             return point if point.values is None else LPResult(UNBOUNDED)
         tab = res._tableau if node is None else _branch(*node)
         if tab is None:     # an infeasible relaxation

@@ -462,14 +462,74 @@ def test_sparse_boundary_matches_dense_on_relative_pairs():
     assert pairs > 300
 
 
+@pytest.mark.parametrize("n", [16, 48], ids=["16x16", "48x48"])
 @pytest.mark.parametrize("twist, expect", [
     (False, [(1, ()), (2, ()), (1, ())]),
     (True, [(1, ()), (1, (2,)), (0, ())])], ids=["torus", "klein"])
-def test_homology_of_16x16_grid_surfaces(twist, expect, deadline):
-    # about 7.7 s per surface through the dense elimination alone
-    cx = grid_surface(16, 16, twist)
+def test_homology_of_grid_surfaces(n, twist, expect, deadline):
+    # about 7.7 s per 16x16 surface through the dense elimination alone
+    cx = grid_surface(n, n, twist)
     deadline(5)
     assert [homology_group(cx, p).as_pair() for p in range(3)] == expect
+
+
+# -- [d_1] by union-find ------------------------------------------------------
+# _graph_rank reads rank d_1 as vertices minus components; the sparse
+# elimination _snf(_sparse_boundary(...)) stays its reference.
+
+def d1_by_elimination(simplices, edges):
+    """Invariant factors of [d_1] with the given edges as columns and the
+    vertices in simplices as rows, by the sparse elimination."""
+    return homology._snf(_sparse_boundary(simplices, edges))
+
+
+def test_graph_rank_matches_elimination_on_absolute_d1():
+    r = random.Random(0x32)
+    complexes = [random_complex(r, n_vertices=r.randint(2, 12),
+                                max_dim=r.randint(1, 4),
+                                n_generators=r.randint(1, 8))
+                 for _ in range(400)]
+    complexes += [grid_surface(n, m, twist) for n, m in
+                  [(5, 5), (5, 8), (7, 9), (12, 12), (16, 16), (24, 24)]
+                  for twist in (False, True)]
+    disconnected = isolated = 0
+    for cx in complexes:
+        edges = cx.p_simplices(1)
+        diag = d1_by_elimination(cx.simplices, edges)
+        assert homology._boundary_snf(cx.simplices, 1, cx.dim) == diag
+        assert homology._graph_rank(edges) == len(diag)
+        # rank d_1 = vertices - components
+        disconnected += len(diag) < len(cx.vertices) - 1
+        isolated += len({v for e in edges for v in e}) < len(cx.vertices)
+    # the corpus must hold disconnected draws and isolated vertices
+    assert disconnected > 50 and isolated > 50
+
+
+def test_graph_rank_matches_elimination_on_relative_d1():
+    r = random.Random(0x3207)
+    complexes = [random_complex(r, n_vertices=6, max_dim=r.randint(1, 3),
+                                n_generators=r.randint(2, 5))
+                 for _ in range(40)]
+    complexes += [mobius(5), annulus(4), cone(4)]
+    pairs = 0
+    looped = [0, 0]     # pairs at p = 0 and p = 1 with a loop
+    for cx in complexes:
+        for p in range(min(cx.dim, 2)):
+            for pair in itertools.islice(enumerate_pure_pairs(cx, p), 0,
+                                         600, 5):
+                rel = pair.L.simplices - pair.L0.simplices
+                ground = [s[0] for s in pair.L0.simplices if len(s) == 1]
+                edges = [s for s in pair.L.p_simplices(1) if s in rel]
+                diag = d1_by_elimination(rel, edges)
+                # rows are the vertices off L0, columns the edges off L0
+                assert homology._boundary_snf(rel, 1, p + 1, ground) == diag
+                assert homology._graph_rank(edges, ground) == len(diag)
+                looped[p] += any(a in ground and b in ground
+                                 for a, b in edges)
+                pairs += 1
+    assert pairs > 1000
+    # edges off L0 with both ends in L0 are loops of the ground node
+    assert min(looped) > 100
 
 
 # -- boundary matrices --------------------------------------------------------

@@ -245,6 +245,21 @@ def test_ilp_unbounded_relaxation_needs_an_integral_point(deadline):
     assert res.status == BUDGET_EXCEEDED
 
 
+def test_unbounded_ilp_tests_the_lattice_once(monkeypatch):
+    # min -b s.t. 2a = 2: no +-e_1 column, so the root runs the lattice
+    # test; the zero-objective search for an integral point shares it
+    calls = []
+    real = ohcp.snf_solve
+    monkeypatch.setattr(ohcp, "snf_solve",
+                        lambda *args: calls.append(args) or real(*args))
+    assert solve_ilp(lp([0, -1], [[2, 0]], [2])).status == UNBOUNDED
+    assert len(calls) == 1
+    # a budget of one node is spent on the root, none is left for the search
+    assert solve_ilp(lp([0, -1], [[2, 0]], [2]),
+                     budget=1).status == BUDGET_EXCEEDED
+    assert len(calls) == 2
+
+
 # -- warm start against cold-start oracles ----------------------------------
 
 def bounded(lp, var, sense, val):

@@ -125,13 +125,22 @@ def test_reduce_snapshots_equal_per_p_homology():
     assert (2,) in torsion
 
 
-def test_homology_groups_reduce_each_boundary_matrix_once(monkeypatch):
+def count_reductions(monkeypatch) -> list:
+    """Log each boundary reduction by the name of its kernel: _graph_rank
+    for [d_1], _snf for every higher [d_p]."""
     calls = []
-    snf = homology._snf
-    monkeypatch.setattr(homology, "_snf",
-                        lambda rows: calls.append(rows) or snf(rows))
+    for name in ("_graph_rank", "_snf"):
+        real = getattr(homology, name)
+        monkeypatch.setattr(homology, name, lambda *args, name=name,
+                            real=real: calls.append(name) or real(*args))
+    return calls
+
+
+def test_homology_groups_reduce_each_boundary_matrix_once(monkeypatch):
+    calls = count_reductions(monkeypatch)
     groups = homology.homology_groups(RP2)
-    assert len(calls) == RP2.dim
+    # [d_1] by one union-find rank, [d_2] by one SNF
+    assert calls == ["_graph_rank", "_snf"]
     assert [g.as_pair() for g in groups] == [(1, ()), (0, (2,)), (0, ())]
 
 
@@ -156,8 +165,7 @@ def test_report_shape_and_deltas():
 
 def test_report_rejects_negative_dimension(monkeypatch):
     # it once raised "p=0 out of range for dim 2" from its TU branch
-    calls = []
-    monkeypatch.setattr(homology, "_snf", lambda rows: calls.append(rows))
+    calls = count_reductions(monkeypatch)
     for dims, p in (([-1, 0, 1], -1), ([0, -1, 1, -2], -2)):
         with pytest.raises(InvalidArgument,
                            match=f"report dimension {p} is negative"):
@@ -166,17 +174,15 @@ def test_report_rejects_negative_dimension(monkeypatch):
 
 
 def test_report_reduces_each_boundary_matrix_once(monkeypatch):
-    # one homology_groups per complex: at most dim SNFs each, and every
+    # one homology_groups per complex: at most dim reductions each, and every
     # dimension past dim reads (0, [])
     before = mobius(7)
     after = reduce(before, GatePolicy(scope=FULL_LINK), max_steps=3)[0]
     dims = [0, 1, 2, 3]
-    calls = []
-    snf = homology._snf
-    monkeypatch.setattr(homology, "_snf",
-                        lambda rows: calls.append(rows) or snf(rows))
+    calls = count_reductions(monkeypatch)
     out = report(before, after, dims=dims)
     assert len(calls) <= before.dim + after.dim
+    assert calls.count("_graph_rank") == 2
     for p in dims:
         for tag, cx in (("before", before), ("after", after)):
             row = out["dimensions"][p][tag]
