@@ -483,8 +483,12 @@ def has_relative_torsion(complex: SimplicialComplex, p: int,
     enumeration order; the budget caps the pairs); mode="tu" delegates to the
     circuit total-unimodularity test of the (p+1)-boundary matrix (the budget
     caps its signed edges when every column or every row has at most two
-    nonzeros, its search nodes otherwise; there is no witness).  budget_used
-    counts the units spent; a negative budget raises InvalidArgument.
+    nonzeros, else the work done on the matrix's core).  Its witness pairs
+    L, the closure of the b-odd circuit's (p+1)-simplices, with L0, the
+    closure of their other p-faces: the relative d_{p+1} is the chordless
+    circuit's cycle matrix, of determinant +-2, so H_p(L, L0) has torsion
+    [2].  budget_used counts the units spent; a negative budget raises
+    InvalidArgument.
     """
     if not 0 <= p < complex.dim:
         raise InvalidArgument(f"p={p} out of range: relative torsion needs "
@@ -494,8 +498,16 @@ def has_relative_torsion(complex: SimplicialComplex, p: int,
         from .tugraph import is_totally_unimodular
         tu = is_totally_unimodular(boundary_matrix(complex, p + 1),
                                    strategy="circuit", budget=budget)
+        witness = None
+        if tu.status is False:  # no 4-cycle in d_{p+1}: a circuit witness
+            faces, tops = zip(*tu.witness)
+            rim = {top[:k] + top[k + 1:] for top in tops for k in range(p + 2)}
+            witness = SubcomplexPair(
+                SimplicialComplex.from_maximal(tops),
+                SimplicialComplex.from_maximal(rim.difference(faces)), p)
         status = None if tu.status is None else not tu.status
-        return Verdict(status, "tu", budget_used=tu.budget_used)
+        return Verdict(status, "tu", witness=witness,
+                       budget_used=tu.budget_used)
     if mode != "oracle":
         raise InvalidArgument(f"unknown mode {mode!r}")
     # The relative [d_{p+1}] of a pair is a slice of [d_{p+1}]: its columns

@@ -265,6 +265,47 @@ def _tu_by_signed_colouring(rows, cols, entries,
     return Verdict(True, "circuit", budget_used=budget.used)
 
 
+def _tu_core(entries) -> tuple:
+    """(row indices, column indices) of the core of a 0/+-1 matrix: every
+    line with at most one nonzero, and every line equal to an earlier kept
+    line or its negative, is deleted until none is left.  Both deletions
+    keep TU in both directions (Schrijver 1986, ch. 19)."""
+    rows = {i: {j: v for j, v in enumerate(row) if v}
+            for i, row in enumerate(entries)}
+    cols = {j: {} for j in range(len(entries[0]) if entries else 0)}
+    for i, line in rows.items():
+        for j, v in line.items():
+            cols[j][i] = v
+    # Lines list their nonzeros in index order.  A side is dirty while a
+    # deletion on the other side may have left it a reducible line.
+    dirty, side = [True, True], 0
+    while dirty[side]:
+        dirty[side] = False
+        lines, other = (rows, cols) if side == 0 else (cols, rows)
+        kept = set()
+        for i, line in list(lines.items()):
+            if len(line) > 1:
+                key = tuple(line.items())
+                if key[0][1] < 0:
+                    key = tuple((j, -v) for j, v in key)
+                if key not in kept:
+                    kept.add(key)
+                    continue
+            del lines[i]
+            for j in line:
+                del other[j][i]
+            dirty[1 - side] = True
+        side = 1 - side
+    return list(rows), list(cols)
+
+
+def _has_four_cycle(entries) -> bool:
+    """Whether two rows share two nonzero columns."""
+    pairs = [pair for row in entries for pair in itertools.combinations(
+        [j for j, v in enumerate(row) if v], 2)]
+    return len(set(pairs)) < len(pairs)
+
+
 def _tu_by_circuit_search(graph: IncidenceGraph, budget: _Budget) -> Verdict:
     """The first chordless b-odd circuit of the graph, or True when there is
     none; the budget caps the search nodes."""
@@ -290,10 +331,17 @@ def is_totally_unimodular(matrix: Union[IntegerMatrix, list],
     b-odd circuit of the bipartite graph representation as witness.  When
     every column, or every row, has at most two nonzeros, it decides by the
     Heller-Tompkins signed 2-colouring in linear time (the budget caps the
-    signed edges examined); otherwise it searches the chordless cycles (the
-    budget caps the search nodes).  A spent budget gives status None;
-    budget_used counts the units spent.  A negative budget raises
-    InvalidArgument.
+    signed edges examined).  Otherwise it tries the colouring again on the
+    matrix's core (`_tu_core`), a submatrix, and else searches the core's
+    chordless cycles (the budget caps the search nodes), so budget_used
+    counts the work done on the core.  No chordless b-odd circuit only shows
+    that the matrix is balanced.  So if two rows of the core share two
+    nonzero columns, the core's determinants decide on the same budget
+    (witness {"rows", "cols", "det"}; more than 8 rows and columns is
+    inconclusive).  A boundary matrix has no such pair: two (p+1)-simplices
+    share at most one p-face.  That the search is exact without one is not
+    proven here.  A spent budget gives status None; budget_used counts the
+    units spent.  A negative budget raises InvalidArgument.
     """
     if strategy not in ("circuit", "determinant"):
         raise InvalidArgument(f"unknown strategy {strategy!r}")
@@ -311,8 +359,19 @@ def is_totally_unimodular(matrix: Union[IntegerMatrix, list],
             return _tu_by_determinants(rows, cols, entries, budget)
         verdict = _tu_by_signed_colouring(rows, cols, entries, budget)
         if verdict is None:
-            verdict = _tu_by_circuit_search(
-                IncidenceGraph.from_matrix(matrix), budget)
+            ri, cj = _tu_core(entries)
+            rows = tuple(rows[i] for i in ri)
+            cols = tuple(cols[j] for j in cj)
+            entries = [[entries[i][j] for j in cj] for i in ri]
+            verdict = _tu_by_signed_colouring(rows, cols, entries, budget)
+        if verdict is None:
+            verdict = _tu_by_circuit_search(IncidenceGraph.from_matrix(
+                IntegerMatrix(rows, cols, entries)), budget)
+            if verdict.status and _has_four_cycle(entries):
+                verdict = Verdict(None, "circuit", budget_used=budget.used)
+                if min(len(rows), len(cols)) <= MAX_DET_ORDER:
+                    verdict = _tu_by_determinants(rows, cols, entries, budget)
+                    verdict.mode = "circuit"
         return verdict
     except _Spent:
         return Verdict(None, strategy, budget_used=budget.used)

@@ -113,10 +113,15 @@ def test_criterion_04_torsion_oracle_equals_not_tu():
         oracle = has_relative_torsion(cx, 1, mode="oracle").status
         tu = is_totally_unimodular(boundary_matrix(cx, 2),
                                    strategy="determinant").status
-        if oracle != (not tu):
+        # the circuit's witness pair carries the torsion it predicts
+        pair = has_relative_torsion(cx, 1, mode="tu").witness
+        witnessed = (pair is not None
+                     and relative_homology_group(pair).torsion_coeffs == [2])
+        if oracle != (not tu) or witnessed != oracle:
             bad.append(name)
     report(4, not bad, 120, time.time() - t0,
-           f"exhaustive pair oracle == not-TU on {len(CORPUS)} complexes"
+           f"exhaustive pair oracle == not-TU == torsion [2] on the tu "
+           f"witness on {len(CORPUS)} complexes"
            + (f"; disagreements: {bad}" if bad else ""))
 
 

@@ -4,8 +4,9 @@ byte for byte with tests/data/cli_golden.json.
 
 OHCP chains (equal-cost optima may differ) and tu-check witnesses (another
 valid circuit may be found first) are left out.  The oracle's witness pair is
-pinned on mobius, whose search one command runs past it.  Rewrite the data
-file, only when an output is meant to change, with
+pinned on mobius, whose search one command runs past it, and so is the pair
+that rel-torsion --mode tu builds on the first b-odd circuit it meets.
+Rewrite the data file, only when an output is meant to change, with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -45,6 +46,9 @@ def outputs(name, tmp, read):
     for p in range(dim):
         run(f"rel-torsion p={p}", "rel-torsion", scx, "--p", str(p),
             "--mode", "oracle", "--budget", "3000", "--json")
+    for p in range(dim):
+        run(f"rel-torsion tu p={p}", "rel-torsion", scx, "--p", str(p),
+            "--mode", "tu", "--json")
     if name == "mobius":    # past the oracle's witness, its 5,328th pair
         run("rel-torsion p=1 budget=6000", "rel-torsion", scx, "--p", "1",
             "--mode", "oracle", "--budget", "6000", "--json")

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from plink import homology
-from plink.complexes import InvalidArgument, SimplicialComplex
-from plink.fixtures import (annulus, cone, mobius, mobius_boundary,
-                            punctured_mobius, random_complex)
+from plink.complexes import InvalidArgument, SimplicialComplex, contract_edge
+from plink.fixtures import (PUNCTURED_MOBIUS_EDGE, annulus, cone, mobius,
+                            mobius_boundary, punctured_mobius, random_complex)
 from plink.homology import (SubcomplexPair, TRUNCATED, _boundary, _shape,
                             _smith, _sparse_boundary, _unit_pivots,
                             bareiss_step, boundary_matrix, det_int,
@@ -690,6 +690,32 @@ def test_has_relative_torsion_tu_mode():
     assert has_relative_torsion(mobius(5), 1, mode="tu").status is True
     cx = SimplicialComplex.from_maximal([(0, 1, 2), (1, 2, 3)])
     assert has_relative_torsion(cx, 1, mode="tu").status is False
+
+
+def test_tu_mode_witness_pair_has_torsion_two():
+    # L spans the b-odd circuit's (p+1)-simplices, L0 their other p-faces;
+    # status and budget_used are the circuit TU test's
+    from plink.tugraph import is_totally_unimodular
+    cases = [(mobius(5), 1), (mobius(7), 1),
+             (contract_edge(punctured_mobius(15),
+                            PUNCTURED_MOBIUS_EDGE).target, 1)]
+    r = random.Random(41)
+    for _ in range(300):
+        cx = random_complex(r, n_vertices=r.randint(5, 8), max_dim=3,
+                            n_generators=r.randint(2, 6))
+        cases += [(cx, p) for p in range(cx.dim)]
+    witnesses = 0
+    for cx, p in cases:
+        tu = is_totally_unimodular(boundary_matrix(cx, p + 1))
+        v = has_relative_torsion(cx, p, mode="tu")
+        assert (v.status, v.budget_used) == (not tu.status, tu.budget_used)
+        assert (v.witness is not None) is v.status
+        if v.status:
+            witnesses += 1
+            assert v.witness.L.p_simplices(p + 1) == sorted(
+                {top for _, top in tu.witness})
+            assert relative_homology_group(v.witness).torsion_coeffs == [2]
+    assert witnesses >= 15
 
 
 def test_relative_torsion_rejects_p_out_of_range():

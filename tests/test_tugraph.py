@@ -12,8 +12,9 @@ from plink.fixtures import (FIXTURE_NAMES, FIXTURES, annulus, cone,
 from plink.homology import Verdict, _Budget, _Spent, boundary_matrix
 from plink.tugraph import (B_EVEN, B_ODD, CircuitDomainError, IncidenceGraph,
                            PreconditionError, _tu_by_circuit_search,
-                           _tu_by_signed_colouring, b_parity, build_p_graph,
-                           check_circuit, construct_preimage_circuit, det_int,
+                           _tu_by_signed_colouring, _tu_core, b_parity,
+                           build_p_graph, check_circuit,
+                           construct_preimage_circuit, det_int,
                            enumerate_chordless_cycles, is_totally_unimodular,
                            map_circuit_f)
 from cycle_space import enumerate_circuits
@@ -299,19 +300,44 @@ def chordless_circuit(entries, rows, cols, circuit):
                if entries[i][j])
 
 
-def check_witness(entries, rows, cols, verdict):
-    graph = IncidenceGraph(rows=rows, cols=cols, weights={
+def graph_of(rows, cols, entries):
+    return IncidenceGraph(rows=rows, cols=cols, weights={
         (r, c): entries[i][j] for i, r in enumerate(rows)
         for j, c in enumerate(cols) if entries[i][j]})
+
+
+def check_witness(entries, rows, cols, verdict):
+    graph = graph_of(rows, cols, entries)
     check_circuit(graph, verdict.witness)
     assert b_parity(graph, verdict.witness) == B_ODD
     assert chordless_circuit(entries, rows, cols, verdict.witness)
 
 
+def core_of(rows, cols, entries):
+    """(rows, cols, entries) of the submatrix _tu_core keeps."""
+    ri, cj = _tu_core(entries)
+    return (tuple(rows[i] for i in ri), tuple(cols[j] for j in cj),
+            [[entries[i][j] for j in cj] for i in ri])
+
+
+def on_core(core, budget):
+    """The signed colouring of a core, else its circuit search, on one
+    budget; a spent budget gives an inconclusive verdict."""
+    try:
+        verdict = _tu_by_signed_colouring(*core, budget)
+        if verdict is None:
+            verdict = _tu_by_circuit_search(graph_of(*core), budget)
+        return verdict
+    except _Spent:
+        return Verdict(None, "circuit", budget_used=budget.used)
+
+
 def differential(matrix, det_budget=2000):
-    """Compare the signed colouring, the circuit search and (where it is
-    conclusive) the determinant strategy on one matrix; returns whether the
-    matrix has the two-per-line shape."""
+    """Compare is_totally_unimodular with the signed colouring, with the
+    circuit search on the whole matrix (the reference status), with the
+    colouring or search on its core, and (where it is conclusive) with the
+    determinant strategy; returns whether the matrix has the two-per-line
+    shape."""
     if isinstance(matrix, list):
         rows = tuple(("r", i) for i in range(len(matrix)))
         cols = tuple(("c", j) for j in range(len(matrix[0])))
@@ -322,12 +348,12 @@ def differential(matrix, det_budget=2000):
     search = _tu_by_circuit_search(IncidenceGraph.from_matrix(matrix),
                                    _Budget())
     verdict = is_totally_unimodular(matrix)
+    assert verdict.status is search.status
     if fast is None:
-        assert verdict == search
+        assert verdict == on_core(core_of(rows, cols, entries), _Budget())
     else:
         assert verdict == fast
-        assert fast.status is search.status
-    for v in (fast, search):
+    for v in (fast, search, verdict):
         if v is not None and v.status is False:
             check_witness(entries, rows, cols, v)
     det = is_totally_unimodular(matrix, strategy="determinant",
@@ -401,22 +427,75 @@ def test_signed_colouring_matches_search_two_per_row(entries):
     assert differential(transposed, det_budget=None)
 
 
-def test_dense_matrix_reaches_the_search_unchanged():
+def test_dense_matrix_reaches_the_search_on_its_core():
     # every column and some row of this 2-complex's d_2 hold three nonzeros
     rng = random.Random(7)
     triangles = list(itertools.combinations(range(7), 3))
+    whole = reduced = 0
     for _ in range(10):
         cx = SimplicialComplex.from_maximal(rng.sample(triangles, 14))
         bm = boundary_matrix(cx, 2)
         assert _tu_by_signed_colouring(bm.rows, bm.cols, bm.entries,
                                        _Budget()) is None
+        reference = _tu_by_circuit_search(build_p_graph(cx, 2), _Budget())
+        core = core_of(bm.rows, bm.cols, bm.entries)
         for budget in (None, 50):
-            spent = _Budget(budget)
-            try:
-                search = _tu_by_circuit_search(build_p_graph(cx, 2), spent)
-            except _Spent:
-                search = Verdict(None, "circuit", budget_used=spent.used)
-            assert is_totally_unimodular(bm, budget=budget) == search
+            v = is_totally_unimodular(bm, budget=budget)
+            assert v == on_core(core, _Budget(budget))
+            assert v.status in (None, reference.status)
+        if v.status is False:
+            check_witness(bm.entries, bm.rows, bm.cols, v)
+        whole += reference.budget_used
+        reduced += v.budget_used
+    assert reduced * 5 < whole
+
+
+@given(sign_matrix_st)
+def test_core_keeps_tu_and_leaves_no_reducible_line(entries):
+    ri, cj = _tu_core(entries)
+    core = [[entries[i][j] for j in cj] for i in ri]
+    assert brute_tu(entries) is (not core or brute_tu(core))
+    for lines in (core, [list(c) for c in zip(*core)]):
+        keys = set()
+        for line in lines:
+            assert sum(map(bool, line)) >= 2
+            keys |= {tuple(line), tuple(-v for v in line)}
+        assert len(keys) == 2 * len(lines)
+
+
+def test_balanced_matrix_that_is_not_tu():
+    # rows 1, 3, 4, 5 and columns 0, 2, 3, 5 form an Eulerian submatrix of
+    # determinant -2, but the graph has no chordless b-odd circuit
+    entries = [[0, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 1], [1, 0, 0, 0, 0, 0],
+               [1, 0, 1, 1, 0, 1], [1, 0, 1, 0, 0, 0], [-1, 0, 0, -1, 0, 0]]
+    graph = IncidenceGraph.from_matrix(entries)
+    assert _tu_by_circuit_search(graph, _Budget()).status is True
+    v = is_totally_unimodular(entries)
+    assert (v.status, v.mode) == (False, "circuit")
+    sub = [[entries[r[1]][c[1]] for c in v.witness["cols"]]
+           for r in v.witness["rows"]]
+    assert det_int(sub) == v.witness["det"] and abs(v.witness["det"]) >= 2
+    assert is_totally_unimodular(entries, budget=v.budget_used) == v
+
+
+def test_balanced_core_beyond_order_8_is_inconclusive():
+    # interval matrices are TU, and only their determinants show it
+    def interval(n):
+        return [[int(i <= j < i + 3) for j in range(n)] for i in range(n)]
+    assert is_totally_unimodular(interval(7)).status is True
+    v = is_totally_unimodular(interval(12))
+    assert v.status is None and v.mode == "circuit"
+
+
+def test_circuit_strategy_matches_brute_force_up_to_7x7():
+    # this seeded sweep holds a balanced matrix that is not TU
+    rng = random.Random(1)
+    for _ in range(3000):
+        m, n = rng.randint(2, 7), rng.randint(2, 7)
+        zero = rng.choice([0.4, 0.5, 0.6, 0.7])
+        entries = [[0 if rng.random() < zero else rng.choice((1, -1))
+                    for _ in range(n)] for _ in range(m)]
+        assert is_totally_unimodular(entries).status is brute_tu(entries)
 
 
 def test_budget_used_is_the_exact_work_of_every_verdict():
